@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"txconcur/internal/basestore"
@@ -14,19 +15,30 @@ func ent(k, v string) basestore.Entry {
 	return basestore.Entry{Key: []byte(k), Val: []byte(v)}
 }
 
-// TestTableRoundTrip: a written table reopens with the same entries, in
-// order, and serves point reads.
+// TestTableRoundTrip: the table WriteTable returns (serving from the index
+// the writer built) and the same file reopened (index rebuilt by the
+// validating scan) both hold the written entries, in order, and serve
+// point reads.
 func TestTableRoundTrip(t *testing.T) {
 	mem := wal.NewMemFS()
 	entries := []basestore.Entry{ent("a", "1"), ent("b", ""), ent("cc", "three")}
-	if err := basestore.WriteTable(mem, "d/t.tbl", entries); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := basestore.OpenTable(mem, "d/t.tbl")
+	written, err := basestore.WriteTable(mem, "d/t.tbl", entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tbl.Close()
+	defer written.Close()
+	reopened, err := basestore.OpenTable(mem, "d/t.tbl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	for _, tbl := range []*basestore.Table{written, reopened} {
+		requireTable(t, tbl, entries)
+	}
+}
+
+func requireTable(t *testing.T, tbl *basestore.Table, entries []basestore.Entry) {
+	t.Helper()
 	if tbl.Len() != len(entries) {
 		t.Fatalf("len %d, want %d", tbl.Len(), len(entries))
 	}
@@ -58,11 +70,14 @@ func TestTableRoundTrip(t *testing.T) {
 // writer errors, not silently reordered data.
 func TestWriteTableRejectsUnsorted(t *testing.T) {
 	mem := wal.NewMemFS()
-	if err := basestore.WriteTable(mem, "d/t.tbl", []basestore.Entry{ent("b", "1"), ent("a", "2")}); err == nil {
+	if _, err := basestore.WriteTable(mem, "d/t.tbl", []basestore.Entry{ent("b", "1"), ent("a", "2")}); err == nil {
 		t.Fatal("unsorted keys accepted")
 	}
-	if err := basestore.WriteTable(mem, "d/t.tbl", []basestore.Entry{ent("a", "1"), ent("a", "2")}); err == nil {
+	if _, err := basestore.WriteTable(mem, "d/t.tbl", []basestore.Entry{ent("a", "1"), ent("a", "2")}); err == nil {
 		t.Fatal("duplicate keys accepted")
+	}
+	if names, _ := mem.ListDir("d"); len(names) != 0 {
+		t.Fatalf("rejected writes left files behind: %v", names)
 	}
 }
 
@@ -70,7 +85,7 @@ func TestWriteTableRejectsUnsorted(t *testing.T) {
 // all fail with ErrCorrupt — recovery code keys on that sentinel.
 func TestOpenTableRejectsCorruption(t *testing.T) {
 	mem := wal.NewMemFS()
-	if err := basestore.WriteTable(mem, "d/t.tbl", []basestore.Entry{ent("a", "one"), ent("b", "two")}); err != nil {
+	if _, err := basestore.WriteTable(mem, "d/t.tbl", []basestore.Entry{ent("a", "one"), ent("b", "two")}); err != nil {
 		t.Fatal(err)
 	}
 	full, ok := mem.ReadFileVolatile("d/t.tbl")
@@ -232,26 +247,77 @@ func TestStoreApplyDedup(t *testing.T) {
 	}
 }
 
+// sweepBig is the index of sweepBatches' multi-Write batch.
+const sweepBig = 5
+
+// sweepBatches is the crash-sweep workload: storeBatches plus, in the first
+// batch, enough extra keys that the automatic merge later leaves that
+// generation out of its suffix, and in batch sweepBig — one the automatic
+// merge does rewrite — a value larger than the write buffer, so both that
+// batch's table and the merged one span several Writes: a sweep ordinal
+// (and a ShortWrite's Keep) then lands mid-table, inside a frame, not only
+// at table boundaries.
+func sweepBatches() [][]basestore.Entry {
+	batches := storeBatches(13)
+	for k := 0; k < 100; k++ {
+		batches[0] = append(batches[0], ent(fmt.Sprintf("w%03d", k), "wide"))
+	}
+	batches[sweepBig] = append(batches[sweepBig], ent("big", strings.Repeat("x", basestore.IOBufSize+1000)))
+	return batches
+}
+
 // storeWorkload drives a store through the full mutating surface — open,
-// a series of Applys (each a persist point: a nil return is an ack), with
-// periodic explicit compactions — stopping at the first error.
-func storeWorkload(fsys basestore.FS, batches [][]basestore.Entry) (acked int, err error) {
+// a series of Applys (each a persist point: a nil return is an ack), one
+// explicit compaction after the third, and from then on the automatic
+// suffix merges Apply triggers itself — stopping at the first error.
+// merged records the generation count left by each automatic merge.
+func storeWorkload(fsys basestore.FS, batches [][]basestore.Entry) (acked int, merged []int, err error) {
 	s, err := basestore.OpenStore(fsys, "base")
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	for i, b := range batches {
+		before := s.Stats().Generations
 		if err := s.Apply(b); err != nil {
-			return acked, err
+			return acked, merged, err
 		}
 		acked++
-		if (i+1)%3 == 0 {
+		if after := s.Stats().Generations; after <= before {
+			merged = append(merged, after)
+		}
+		if i == 2 {
 			if err := s.Compact(); err != nil {
-				return acked, err
+				return acked, merged, err
 			}
 		}
 	}
-	return acked, s.Close()
+	return acked, merged, s.Close()
+}
+
+// cleanStoreWorkload runs the sweep workload fault-free, checks it does
+// contain what the sweeps claim to cover — an automatic merge of a partial
+// suffix and a table written in more than one Write — and returns the
+// ordinal count.
+func cleanStoreWorkload(t *testing.T, batches [][]basestore.Entry) int {
+	t.Helper()
+	clean := wal.NewFaultFS(wal.NewMemFS())
+	acked, merged, err := storeWorkload(clean, batches)
+	if err != nil || acked != len(batches) {
+		t.Fatalf("clean run: acked %d err %v", acked, err)
+	}
+	if len(merged) == 0 || merged[0] < 2 {
+		t.Fatalf("clean run: automatic merges left %v generations, want a partial-suffix merge (>= 2 left)", merged)
+	}
+	// A single-Write table costs its Apply six ordinals (create, write,
+	// sync, rename, syncdir, reopen) after OpenStore's mkdir.
+	probe := wal.NewFaultFS(wal.NewMemFS())
+	if _, _, err := storeWorkload(probe, batches[sweepBig:sweepBig+1]); err != nil {
+		t.Fatal(err)
+	}
+	if probe.Ops() <= 1+6 {
+		t.Fatalf("the big table took %d ordinals: no mid-table Write boundary in the sweep", probe.Ops())
+	}
+	return clean.Ops()
 }
 
 // requireStoreRecovered reopens the store from a crash image and checks
@@ -285,31 +351,22 @@ func requireStoreRecovered(t *testing.T, img *wal.MemFS, batches [][]basestore.E
 }
 
 // TestBaseStoreCrashPointSweep is the base layer's durability invariant,
-// the basestore half of the PR-9 sweep: crash the Apply/Compact workload
-// at EVERY mutating filesystem operation — mid table write, mid index
-// write (the reopen scan), between a compaction's new-table write and the
-// old-file removes — then a reopen must succeed and serve every acked
-// batch newest-wins, with zero acked loss. (A crash between an eviction's
+// the basestore half of the PR-9 sweep: crash the Apply/Compact/auto-merge
+// workload at EVERY mutating filesystem operation — mid table write,
+// between a (full or partial-suffix) merge's new-table write and the
+// old-file removes, between the removes — then a reopen must succeed and
+// serve every acked batch newest-wins, with zero acked loss. (A crash between an eviction's
 // persist and its drop needs no disk-level case: the drop is RAM-only, so
 // its crash image is identical to one of the Apply ordinals swept here.)
 func TestBaseStoreCrashPointSweep(t *testing.T) {
-	batches := storeBatches(7)
-
-	clean := wal.NewFaultFS(wal.NewMemFS())
-	acked, err := storeWorkload(clean, batches)
-	if err != nil || acked != len(batches) {
-		t.Fatalf("clean run: acked %d err %v", acked, err)
-	}
-	total := clean.Ops()
-	if total == 0 {
-		t.Fatal("clean run issued no filesystem operations")
-	}
+	batches := sweepBatches()
+	total := cleanStoreWorkload(t, batches)
 
 	for op := 0; op < total; op++ {
 		for _, keep := range []int{0, 7} {
 			mem := wal.NewMemFS()
 			ff := wal.NewFaultFS(mem, wal.Fault{Op: op, Kind: wal.Crash})
-			acked, werr := storeWorkload(ff, batches)
+			acked, _, werr := storeWorkload(ff, batches)
 			if !errors.Is(werr, wal.ErrCrashed) {
 				t.Fatalf("op %d: workload survived the crash: %v", op, werr)
 			}
@@ -323,18 +380,14 @@ func TestBaseStoreCrashPointSweep(t *testing.T) {
 // failures must surface from Apply/Compact (never be swallowed into an
 // ack), and a crash right after still recovers every acked batch.
 func TestBaseStoreInjectedErrors(t *testing.T) {
-	batches := storeBatches(7)
-	clean := wal.NewFaultFS(wal.NewMemFS())
-	if _, err := storeWorkload(clean, batches); err != nil {
-		t.Fatal(err)
-	}
-	total := clean.Ops()
+	batches := sweepBatches()
+	total := cleanStoreWorkload(t, batches)
 
 	for op := 0; op < total; op++ {
 		for _, kind := range []wal.FaultKind{wal.ErrWrite, wal.ShortWrite, wal.ErrSync} {
 			mem := wal.NewMemFS()
 			ff := wal.NewFaultFS(mem, wal.Fault{Op: op, Kind: kind, Keep: 3})
-			acked, werr := storeWorkload(ff, batches)
+			acked, _, werr := storeWorkload(ff, batches)
 			if werr == nil && acked != len(batches) {
 				t.Fatalf("op %d kind %d: injected fault swallowed", op, kind)
 			}

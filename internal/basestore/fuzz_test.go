@@ -23,7 +23,7 @@ func FuzzBaseStoreReader(f *testing.F) {
 		{Key: []byte("ab"), Val: nil},
 		{Key: []byte("b\x00c"), Val: bytes.Repeat([]byte{0x7f}, 40)},
 	}
-	if err := basestore.WriteTable(mem, "d/seed.tbl", entries); err != nil {
+	if _, err := basestore.WriteTable(mem, "d/seed.tbl", entries); err != nil {
 		f.Fatal(err)
 	}
 	full, ok := mem.ReadFileVolatile("d/seed.tbl")
@@ -72,20 +72,27 @@ func FuzzBaseStoreReader(f *testing.F) {
 			}
 		}
 		// Round-trip: rewrite what was read and reopen.
-		if err := basestore.WriteTable(fsys, "d/out.tbl", got); err != nil {
+		wr, err := basestore.WriteTable(fsys, "d/out.tbl", got)
+		if err != nil {
 			t.Fatalf("rewrite of accepted entries rejected: %v", err)
 		}
+		defer wr.Close()
 		tbl2, err := basestore.OpenTable(fsys, "d/out.tbl")
 		if err != nil {
 			t.Fatalf("reopen of rewritten table: %v", err)
 		}
 		defer tbl2.Close()
-		if tbl2.Len() != len(got) {
-			t.Fatalf("rewritten table holds %d entries, want %d", tbl2.Len(), len(got))
+		if tbl2.Len() != len(got) || wr.Len() != len(got) {
+			t.Fatalf("rewritten table holds %d entries (writer's index %d), want %d", tbl2.Len(), wr.Len(), len(got))
 		}
 		for i, e := range got {
-			if !bytes.Equal(tbl2.Key(i), e.Key) {
+			if !bytes.Equal(tbl2.Key(i), e.Key) || !bytes.Equal(wr.Key(i), e.Key) {
 				t.Fatalf("rewritten key %d changed", i)
+			}
+			// The index the writer built must serve what the validating
+			// scan of the same file serves.
+			if v, ok, err := wr.Get(e.Key); err != nil || !ok || !bytes.Equal(v, e.Val) {
+				t.Fatalf("writer-indexed Get(%q) = %q,%v,%v, want %q", e.Key, v, ok, err, e.Val)
 			}
 		}
 	})

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,10 +13,16 @@ import (
 const (
 	genPrefix = "base-"
 	genSuffix = ".tbl"
-	// compactAfter is the generation count past which Apply folds the
-	// store into a single table; bounds the per-Get binary-search fan-out
-	// and the file-handle count.
+	// compactAfter is the generation count past which Apply merges the
+	// newest generations; bounds the per-Get binary-search fan-out and the
+	// file-handle count.
 	compactAfter = 8
+	// mergeFactor bounds how much older data an automatic merge rewrites:
+	// a generation joins the merged suffix only while it holds at most
+	// mergeFactor times the entries of everything newer, so each Apply
+	// rewrites an amount proportional to its batch (amortised, times a
+	// logarithm of the store), never the whole store.
+	mergeFactor = 2
 )
 
 // genName returns the filename of generation g; fixed-width hex makes
@@ -161,7 +167,8 @@ func (s *Store) Has(key []byte) bool {
 // written atomically, then swapped into the generation stack. When Apply
 // returns nil the batch is durable — a crash at any earlier point leaves
 // the previous stack intact. Once the stack exceeds compactAfter
-// generations the store compacts before returning.
+// generations the newest ones of comparable size (see mergeFactor) are
+// merged into one before returning.
 func (s *Store) Apply(entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
@@ -170,9 +177,7 @@ func (s *Store) Apply(entries []Entry) error {
 	defer s.wmu.Unlock()
 	sorted := make([]Entry, len(entries))
 	copy(sorted, entries)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return bytes.Compare(sorted[i].Key, sorted[j].Key) < 0
-	})
+	slices.SortStableFunc(sorted, func(a, b Entry) int { return bytes.Compare(a.Key, b.Key) })
 	dedup := sorted[:0]
 	for i, e := range sorted {
 		if i+1 < len(sorted) && bytes.Equal(e.Key, sorted[i+1].Key) {
@@ -182,13 +187,8 @@ func (s *Store) Apply(entries []Entry) error {
 	}
 	s.mu.RLock()
 	g := s.nextGen
-	depth := len(s.gens)
 	s.mu.RUnlock()
-	path := filepath.Join(s.dir, genName(g))
-	if err := WriteTable(s.fsys, path, dedup); err != nil {
-		return err
-	}
-	t, err := OpenTable(s.fsys, path)
+	t, err := WriteTable(s.fsys, filepath.Join(s.dir, genName(g)), dedup)
 	if err != nil {
 		return err
 	}
@@ -196,54 +196,65 @@ func (s *Store) Apply(entries []Entry) error {
 	s.gens = append(s.gens, t)
 	s.genIDs = append(s.genIDs, g)
 	s.nextGen = g + 1
+	gens := s.gens // only writers (serialized by wmu) replace the stack
 	s.mu.Unlock()
-	if depth+1 > compactAfter {
-		return s.compactLocked()
+	if len(gens) <= compactAfter {
+		return nil
 	}
-	return nil
+	// Merge the newest suffix: at least two tables, so the stack shrinks,
+	// extended while the next older one is within mergeFactor of the rest.
+	from, sum := len(gens)-1, t.Len()
+	for from > 0 && (from == len(gens)-1 || gens[from-1].Len() <= mergeFactor*sum) {
+		from--
+		sum += gens[from].Len()
+	}
+	return s.mergeLocked(from)
 }
 
 // Compact folds every generation into a single new one and removes the old
-// files. Crash-safe: the merged table is written under the next generation
-// number before any old file is removed, and the newest-wins read rule
-// makes a crash-leftover mix of merged and unmerged generations read
-// identically to the merged table.
+// files.
 func (s *Store) Compact() error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	return s.compactLocked()
+	return s.mergeLocked(0)
 }
 
-// compactLocked is Compact with wmu held.
-func (s *Store) compactLocked() error {
+// mergeLocked, with wmu held, merges generations from..newest into one new
+// table and removes their files. Crash-safe for any suffix: the merged
+// table is written under the next generation number before any old file is
+// removed, it holds every key of every table it replaces, and it shadows
+// them all — so under the newest-wins read rule a crash-leftover mix of
+// the merged table and any of its inputs reads identically to the merged
+// table alone, and the untouched older generations stay below both.
+func (s *Store) mergeLocked(from int) error {
 	s.mu.RLock()
-	gens := append([]*Table(nil), s.gens...)
-	ids := append([]uint64(nil), s.genIDs...)
+	old := append([]*Table(nil), s.gens[from:]...)
+	ids := append([]uint64(nil), s.genIDs[from:]...)
 	g := s.nextGen
 	s.mu.RUnlock()
-	if len(gens) <= 1 {
+	if len(old) <= 1 {
 		return nil
 	}
-	merged, err := mergeGens(gens)
-	if err != nil {
-		return err
+	n := 0
+	for _, o := range old {
+		n += o.Len()
 	}
-	path := filepath.Join(s.dir, genName(g))
-	if err := WriteTable(s.fsys, path, merged); err != nil {
-		return err
-	}
-	t, err := OpenTable(s.fsys, path)
+	t, err := writeTable(s.fsys, filepath.Join(s.dir, genName(g)), n, func(tw *tableWriter) error {
+		return mergeTables(old, func(key, payload []byte, sum uint32) (bool, error) {
+			return true, tw.frame(key, payload, sum)
+		})
+	})
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.gens = []*Table{t}
-	s.genIDs = []uint64{g}
+	s.gens = append(s.gens[:from:from], t)
+	s.genIDs = append(s.genIDs[:from:from], g)
 	s.nextGen = g + 1
 	s.mu.Unlock()
 	var ferr error
-	for i, old := range gens {
-		old.retire()
+	for i, o := range old {
+		o.retire()
 		if err := s.fsys.Remove(filepath.Join(s.dir, genName(ids[i]))); err != nil && ferr == nil {
 			ferr = fmt.Errorf("basestore: remove old generation: %w", err)
 		}
@@ -254,85 +265,18 @@ func (s *Store) compactLocked() error {
 	return ferr
 }
 
-// mergeGens k-way merges the generations into one newest-wins sorted entry
-// list, reading every value from disk.
-func mergeGens(gens []*Table) ([]Entry, error) {
-	// idx[i] is the cursor into generation i's key index.
-	idx := make([]int, len(gens))
-	var out []Entry
-	for {
-		// Pick the smallest current key; among equals the newest
-		// generation (largest i) wins and the older cursors advance past
-		// the shadowed entries.
-		best := -1
-		var bestKey []byte
-		for i := range gens {
-			if idx[i] >= gens[i].Len() {
-				continue
-			}
-			k := gens[i].Key(idx[i])
-			if best < 0 || bytes.Compare(k, bestKey) < 0 {
-				best, bestKey = i, k
-			} else if bytes.Equal(k, bestKey) {
-				best = i // newer generation shadows
-			}
-		}
-		if best < 0 {
-			return out, nil
-		}
-		v, err := gens[best].readVal(idx[best])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Entry{Key: append([]byte(nil), bestKey...), Val: v})
-		for i := range gens {
-			if idx[i] < gens[i].Len() && bytes.Equal(gens[i].Key(idx[i]), bestKey) {
-				idx[i]++
-			}
-		}
-	}
-}
-
 // Range calls fn for every live key in ascending order (newest generation's
-// value per key) until fn returns false. The iteration sees the generation
-// stack as of the call: batches applied concurrently may or may not be
-// included, but a compaction mid-iteration never is (the acquired tables
-// stay readable until Range returns).
+// value per key) until fn returns false; each value is a fresh copy fn may
+// keep. The iteration sees the generation stack as of the call: batches
+// applied concurrently may or may not be included, but a compaction
+// mid-iteration never is (the acquired tables stay readable until Range
+// returns).
 func (s *Store) Range(fn func(key string, val []byte) bool) error {
 	gens := s.snapshot()
 	defer releaseAll(gens)
-	idx := make([]int, len(gens))
-	for {
-		best := -1
-		var bestKey []byte
-		for i := range gens {
-			if idx[i] >= gens[i].Len() {
-				continue
-			}
-			k := gens[i].Key(idx[i])
-			if best < 0 || bytes.Compare(k, bestKey) < 0 {
-				best, bestKey = i, k
-			} else if bytes.Equal(k, bestKey) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		v, err := gens[best].readVal(idx[best])
-		if err != nil {
-			return err
-		}
-		stop := !fn(string(bestKey), v)
-		for i := range gens {
-			if idx[i] < gens[i].Len() && bytes.Equal(gens[i].Key(idx[i]), bestKey) {
-				idx[i]++
-			}
-		}
-		if stop {
-			return nil
-		}
-	}
+	return mergeTables(gens, func(key, payload []byte, _ uint32) (bool, error) {
+		return fn(string(key), append([]byte(nil), payloadVal(payload)...)), nil
+	})
 }
 
 // StoreStats describes the store's resident footprint.

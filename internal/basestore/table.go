@@ -1,6 +1,7 @@
 package basestore
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -46,8 +47,7 @@ type Entry struct {
 // exactly at a frame boundary; OpenTable rejects anything else with
 // ErrCorrupt.
 type Table struct {
-	mu   sync.Mutex // guards f's seek position
-	f    File
+	f    File     // read with ReadAt only: no shared position, no lock
 	keys [][]byte // sorted, strictly increasing
 	offs []int64  // offset of each payload (past the frame header)
 	lens []uint32 // payload length of each frame
@@ -91,46 +91,83 @@ func (t *Table) retire() {
 	}
 }
 
-// WriteTable atomically writes entries as a table file at path. Entries
-// must be sorted by key, strictly increasing; the writer enforces this
-// rather than sorting so callers cannot accidentally feed it duplicate
-// keys with order-dependent meaning.
-func WriteTable(fsys FS, path string, entries []Entry) error {
-	for i := 1; i < len(entries); i++ {
-		if bytes.Compare(entries[i-1].Key, entries[i].Key) >= 0 {
-			return fmt.Errorf("basestore: write %s: keys not strictly increasing at %d", path, i)
-		}
-	}
-	return WriteFileAtomic(fsys, path, func(w io.Writer) error {
-		if _, err := w.Write(tblMagic); err != nil {
-			return err
-		}
-		var hdr [8]byte
-		var payload bytes.Buffer
+// WriteTable atomically writes entries as a table file at path and returns
+// the open table, serving from the index built while writing — the writer
+// computed every offset and checksum itself, so its own output is not
+// re-read. Entries must be sorted by key, strictly increasing; the writer
+// enforces this rather than sorting so callers cannot accidentally feed it
+// duplicate keys with order-dependent meaning.
+func WriteTable(fsys FS, path string, entries []Entry) (*Table, error) {
+	return writeTable(fsys, path, len(entries), func(tw *tableWriter) error {
+		var payload []byte
 		for _, e := range entries {
 			if len(e.Key) > 0xffff {
 				return fmt.Errorf("key too long (%d bytes)", len(e.Key))
 			}
-			payload.Reset()
-			var kl [2]byte
-			binary.LittleEndian.PutUint16(kl[:], uint16(len(e.Key)))
-			payload.Write(kl[:])
-			payload.Write(e.Key)
-			payload.Write(e.Val)
-			if payload.Len() > maxEntrySize {
-				return fmt.Errorf("entry too large (%d bytes)", payload.Len())
-			}
-			binary.LittleEndian.PutUint32(hdr[:4], uint32(payload.Len()))
-			binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload.Bytes()))
-			if _, err := w.Write(hdr[:]); err != nil {
-				return err
-			}
-			if _, err := w.Write(payload.Bytes()); err != nil {
+			payload = binary.LittleEndian.AppendUint16(payload[:0], uint16(len(e.Key)))
+			payload = append(append(payload, e.Key...), e.Val...)
+			key := append([]byte(nil), e.Key...)
+			if err := tw.frame(key, payload, crc32.ChecksumIEEE(payload)); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
+}
+
+// writeTable runs fill against a tableWriter inside the atomic-write
+// protocol, then opens the durable file under the index fill built; n is
+// the (upper bound on the) number of frames, sizing the index once.
+func writeTable(fsys FS, path string, n int, fill func(*tableWriter) error) (*Table, error) {
+	t := &Table{keys: make([][]byte, 0, n), offs: make([]int64, 0, n), lens: make([]uint32, 0, n), crcs: make([]uint32, 0, n)}
+	err := WriteFileAtomic(fsys, path, func(w io.Writer) error {
+		if _, err := w.Write(tblMagic); err != nil {
+			return err
+		}
+		return fill(&tableWriter{w: w, t: t, off: int64(len(tblMagic))})
+	})
+	if err != nil {
+		return nil, err
+	}
+	if t.f, err = fsys.OpenFile(path, os.O_RDONLY, 0); err != nil {
+		return nil, fmt.Errorf("basestore: open %s: %w", path, err)
+	}
+	return t, nil
+}
+
+// tableWriter streams frames into w and builds the table's index as it
+// goes; off is the file offset of the next frame.
+type tableWriter struct {
+	w   io.Writer
+	t   *Table
+	off int64
+	hdr [8]byte // frame-header scratch; a local would escape through w
+}
+
+// frame appends one encoded entry. The index retains key, which must not
+// change afterwards; payload is only read during the call.
+func (tw *tableWriter) frame(key, payload []byte, sum uint32) error {
+	t := tw.t
+	if n := len(t.keys); n > 0 && bytes.Compare(t.keys[n-1], key) >= 0 {
+		return fmt.Errorf("keys not strictly increasing at %d", n)
+	}
+	if len(payload) > maxEntrySize {
+		return fmt.Errorf("entry too large (%d bytes)", len(payload))
+	}
+	binary.LittleEndian.PutUint32(tw.hdr[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(tw.hdr[4:], sum)
+	if _, err := tw.w.Write(tw.hdr[:]); err != nil {
+		return err
+	}
+	if _, err := tw.w.Write(payload); err != nil {
+		return err
+	}
+	t.keys = append(t.keys, key)
+	t.offs = append(t.offs, tw.off+int64(len(tw.hdr)))
+	t.lens = append(t.lens, uint32(len(payload)))
+	t.crcs = append(t.crcs, sum)
+	tw.off += int64(len(tw.hdr) + len(payload))
+	return nil
 }
 
 // OpenTable opens and fully validates the table file at path: magic, every
@@ -151,38 +188,43 @@ func OpenTable(fsys FS, path string) (*Table, error) {
 	return t, nil
 }
 
-// indexTable scans f front to back building the in-RAM index.
+// indexTable scans f front to back, through one buffer, building the
+// in-RAM index. off tracks the absolute offset of the next unread byte.
 func indexTable(f File, path string) (*Table, error) {
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("basestore: table %s: %s: %w", path, fmt.Sprintf(format, args...), ErrCorrupt)
 	}
-	r := bufReaderAt{f: f}
+	r := bufio.NewReaderSize(f, ioBufSize)
 	magic := make([]byte, len(tblMagic))
-	if err := r.readFull(magic); err != nil {
+	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, corrupt("magic: %v", err)
 	}
 	if !bytes.Equal(magic, tblMagic) {
 		return nil, corrupt("bad magic")
 	}
 	t := &Table{f: f}
+	off := int64(len(magic))
 	var hdr [8]byte
-	var prev []byte
+	var payload []byte
 	for {
-		n, err := r.read(hdr[:])
+		n, err := io.ReadFull(r, hdr[:])
 		if n == 0 && errors.Is(err, io.EOF) {
 			return t, nil // clean end at a frame boundary
 		}
-		if err != nil || n != len(hdr) {
-			return nil, corrupt("truncated frame header at offset %d", r.off-int64(n))
+		if err != nil {
+			return nil, corrupt("truncated frame header at offset %d", off)
 		}
 		size := binary.LittleEndian.Uint32(hdr[:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
 		if size < 2 || size > maxEntrySize {
-			return nil, corrupt("bad frame size %d at offset %d", size, r.off-8)
+			return nil, corrupt("bad frame size %d at offset %d", size, off)
 		}
-		payload := make([]byte, size)
-		off := r.off
-		if err := r.readFull(payload); err != nil {
+		off += int64(len(hdr))
+		if uint32(cap(payload)) < size {
+			payload = make([]byte, size)
+		}
+		payload = payload[:size]
+		if _, err := io.ReadFull(r, payload); err != nil {
 			return nil, corrupt("truncated payload at offset %d", off)
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
@@ -192,44 +234,16 @@ func indexTable(f File, path string) (*Table, error) {
 		if 2+klen > len(payload) {
 			return nil, corrupt("key length %d exceeds payload at offset %d", klen, off)
 		}
-		key := payload[2 : 2+klen]
-		if prev != nil && bytes.Compare(prev, key) >= 0 {
+		key := append([]byte(nil), payload[2:2+klen]...)
+		if n := len(t.keys); n > 0 && bytes.Compare(t.keys[n-1], key) >= 0 {
 			return nil, corrupt("keys out of order at offset %d", off)
 		}
-		kcopy := append([]byte(nil), key...)
-		prev = kcopy
-		t.keys = append(t.keys, kcopy)
+		t.keys = append(t.keys, key)
 		t.offs = append(t.offs, off)
 		t.lens = append(t.lens, size)
 		t.crcs = append(t.crcs, sum)
+		off += int64(size)
 	}
-}
-
-// bufReaderAt is a tiny forward reader that tracks the absolute offset, so
-// index building makes one sequential pass without Seek round-trips.
-type bufReaderAt struct {
-	f   File
-	off int64
-}
-
-func (r *bufReaderAt) read(p []byte) (int, error) {
-	n, err := io.ReadFull(r.f, p)
-	r.off += int64(n)
-	if errors.Is(err, io.ErrUnexpectedEOF) && n > 0 {
-		return n, io.ErrUnexpectedEOF
-	}
-	return n, err
-}
-
-func (r *bufReaderAt) readFull(p []byte) error {
-	n, err := r.read(p)
-	if err != nil || n != len(p) {
-		if err == nil {
-			err = io.ErrUnexpectedEOF
-		}
-		return err
-	}
-	return nil
 }
 
 // Len returns the number of entries.
@@ -271,38 +285,134 @@ func (t *Table) Get(key []byte) ([]byte, bool, error) {
 	return v, err == nil, err
 }
 
-// readVal fetches and verifies entry i's payload, returning the value.
+// readVal fetches and verifies entry i's payload with one positionless
+// read, returning the value.
 func (t *Table) readVal(i int) ([]byte, error) {
 	payload := make([]byte, t.lens[i])
-	t.mu.Lock()
-	_, err := t.f.Seek(t.offs[i], io.SeekStart)
-	if err == nil {
-		_, err = io.ReadFull(t.f, payload)
-	}
-	t.mu.Unlock()
-	if err != nil {
+	if n, err := t.f.ReadAt(payload, t.offs[i]); n < len(payload) {
 		return nil, fmt.Errorf("basestore: read entry %d: %w", i, err)
 	}
-	if crc32.ChecksumIEEE(payload) != t.crcs[i] {
-		return nil, fmt.Errorf("basestore: entry %d: checksum mismatch: %w", i, ErrCorrupt)
+	if err := t.verify(i, payload); err != nil {
+		return nil, err
 	}
-	klen := int(binary.LittleEndian.Uint16(payload[:2]))
-	return payload[2+klen:], nil
+	return payloadVal(payload), nil
+}
+
+// verify re-checks entry i's payload, as read back from disk, against the
+// checksum in the index.
+func (t *Table) verify(i int, payload []byte) error {
+	if crc32.ChecksumIEEE(payload) != t.crcs[i] {
+		return fmt.Errorf("basestore: entry %d: checksum mismatch: %w", i, ErrCorrupt)
+	}
+	return nil
+}
+
+// payloadVal returns the value bytes of a frame payload.
+func payloadVal(payload []byte) []byte {
+	return payload[2+int(binary.LittleEndian.Uint16(payload[:2])):]
 }
 
 // Range calls fn for every entry in ascending key order until fn returns
-// false. Values are read (and verified) from disk per entry.
+// false. Values are read sequentially through one buffer and verified;
+// each is a fresh copy fn may keep.
 func (t *Table) Range(fn func(key, val []byte) bool) error {
-	for i := range t.keys {
-		v, err := t.readVal(i)
-		if err != nil {
-			return err
+	return mergeTables([]*Table{t}, func(key, payload []byte, _ uint32) (bool, error) {
+		return fn(key, append([]byte(nil), payloadVal(payload)...)), nil
+	})
+}
+
+// cursor walks a table's entries in order, reading the file sequentially
+// through one buffer; r is always positioned at entry i's frame header.
+type cursor struct {
+	t *Table
+	i int
+	r *bufio.Reader
+}
+
+// newCursor opens a cursor at t's first entry. The table's extent is
+// known from the index, so a small table gets a small buffer.
+func newCursor(t *Table) cursor {
+	start := int64(len(tblMagic))
+	size := int64(0)
+	if n := len(t.offs); n > 0 {
+		size = t.offs[n-1] + int64(t.lens[n-1]) - start
+	}
+	return cursor{t: t, r: bufio.NewReaderSize(io.NewSectionReader(t.f, start, size), int(min(size, ioBufSize)))}
+}
+
+// payload reads and verifies the current entry's payload into buf (grown
+// as needed) and advances.
+func (c *cursor) payload(buf []byte) ([]byte, error) {
+	if n := int(c.t.lens[c.i]); cap(buf) < n {
+		buf = make([]byte, n)
+	} else {
+		buf = buf[:n]
+	}
+	_, err := c.r.Discard(8)
+	if err == nil {
+		_, err = io.ReadFull(c.r, buf)
+	}
+	if err != nil {
+		return buf, fmt.Errorf("basestore: read entry %d: %w", c.i, err)
+	}
+	err = c.t.verify(c.i, buf)
+	c.i++
+	return buf, err
+}
+
+// skip advances past the current entry without verifying it.
+func (c *cursor) skip() error {
+	_, err := c.r.Discard(8 + int(c.t.lens[c.i]))
+	c.i++
+	return err
+}
+
+// mergeTables streams the newest-wins union of tables (ascending age: a
+// later table shadows an earlier one) to fn in ascending key order, until
+// fn returns false or an error. One sequential cursor per table; payload
+// is a shared buffer valid only during the call, key is the owning
+// table's immutable index copy, sum the payload's verified checksum.
+func mergeTables(tables []*Table, fn func(key, payload []byte, sum uint32) (bool, error)) error {
+	curs := make([]cursor, len(tables))
+	for i, t := range tables {
+		curs[i] = newCursor(t)
+	}
+	var buf []byte
+	for {
+		// Pick the smallest current key. On a tie the older table's entry
+		// is shadowed whatever else is pending, so it is skipped at once.
+		best := -1
+		for i := range curs {
+			c := &curs[i]
+			if c.i >= len(c.t.keys) {
+				continue
+			}
+			cmp := -1
+			if best >= 0 {
+				cmp = bytes.Compare(c.t.keys[c.i], curs[best].t.keys[curs[best].i])
+			}
+			if cmp == 0 {
+				if err := curs[best].skip(); err != nil {
+					return err
+				}
+			}
+			if cmp <= 0 {
+				best = i
+			}
 		}
-		if !fn(t.keys[i], v) {
+		if best < 0 {
 			return nil
 		}
+		c := &curs[best]
+		key, sum := c.t.keys[c.i], c.t.crcs[c.i]
+		var err error
+		if buf, err = c.payload(buf); err != nil {
+			return err
+		}
+		if ok, err := fn(key, buf, sum); err != nil || !ok {
+			return err
+		}
 	}
-	return nil
 }
 
 // Close closes the underlying file.

@@ -32,22 +32,24 @@ func baseSweepProfile() chainsim.Profile {
 // append each block to the log (block ack), advance the committed state,
 // checkpoint every `every` blocks, then fold the block's state entries
 // into the base store (fold ack — the eviction persist point), compacting
-// every third fold. Stops at the first filesystem error.
-func baseWorkload(t *testing.T, fsys wal.FS, pre *account.StateDB, blocks []*account.Block, every int) (ackedBlocks, ackedFolds int, err error) {
+// explicitly after the third fold and leaving the stack to Apply's
+// automatic merges from then on (autoMerges counts them). Stops at the
+// first filesystem error.
+func baseWorkload(t *testing.T, fsys wal.FS, pre *account.StateDB, blocks []*account.Block, every int) (ackedBlocks, ackedFolds, autoMerges int, err error) {
 	t.Helper()
 	d, err := wal.Open(fsys, "dur", wal.SyncEachRecord)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	bs, err := basestore.OpenStore(fsys, "dur/base")
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	st := pre.Copy()
 	proc := account.Processor{DeferCoinbase: true}
 	for i, blk := range blocks {
 		if _, err := d.Log().Append(blk); err != nil {
-			return ackedBlocks, ackedFolds, err
+			return ackedBlocks, ackedFolds, autoMerges, err
 		}
 		ackedBlocks++
 		receipts := make([]*account.Receipt, 0, len(blk.Txs))
@@ -63,21 +65,25 @@ func baseWorkload(t *testing.T, fsys wal.FS, pre *account.StateDB, blocks []*acc
 		st.DiscardJournal()
 		if every > 0 && (i+1)%every == 0 {
 			if err := d.WriteCheckpoint(uint64(i), st); err != nil {
-				return ackedBlocks, ackedFolds, err
+				return ackedBlocks, ackedFolds, autoMerges, err
 			}
 		}
+		gens := bs.Stats().Generations
 		if err := bs.Apply(basestore.StateEntries(st)); err != nil {
-			return ackedBlocks, ackedFolds, err
+			return ackedBlocks, ackedFolds, autoMerges, err
 		}
 		ackedFolds++
-		if ackedFolds%3 == 0 {
+		if bs.Stats().Generations <= gens {
+			autoMerges++
+		}
+		if ackedFolds == 3 {
 			if err := bs.Compact(); err != nil {
-				return ackedBlocks, ackedFolds, err
+				return ackedBlocks, ackedFolds, autoMerges, err
 			}
 		}
 	}
 	bs.Close()
-	return ackedBlocks, ackedFolds, d.Close()
+	return ackedBlocks, ackedFolds, autoMerges, d.Close()
 }
 
 // oracleEntries replays blocks sequentially and returns the base-layer
@@ -143,17 +149,21 @@ func requireBaseRecovered(t *testing.T, img *wal.MemFS, folds [][]basestore.Entr
 // every mutating filesystem operation of the full base-layer stack
 // running beside the WAL: block appends, table-checkpoint writes, base
 // store Apply (the eviction persist point — a crash here is "between
-// evict and fold", since the in-RAM drop vanishes with the process) and
-// Compact, all numbered on one FaultFS. Crashing at each ordinal covers
-// mid-table-write and mid-index-write for both the checkpoint and base
-// writers. After every crash: recovery must reproduce the oracle's roots
+// evict and fold", since the in-RAM drop vanishes with the process), an
+// explicit Compact and the automatic merge Apply runs once the stack is
+// nine deep, all numbered on one FaultFS. Crashing at each ordinal covers
+// every step of the atomic table write for both the checkpoint and base
+// writers, and the window between a merge's new table and the removal of
+// each table it replaces. After every crash: recovery must reproduce the oracle's roots
 // and receipts exactly with zero acked-block loss, and the reopened base
 // store must serve every acked fold newest-wins.
 func TestBaseLayerCrashPointSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long: one full workload run per filesystem operation")
 	}
-	pre, blocks, err := chainsim.GenerateAccountChain(baseSweepProfile(), 4, 17)
+	// 12 blocks: fold 3 compacts to one table, folds 4-11 stack eight more,
+	// so the eleventh fold triggers the automatic merge with a fold to spare.
+	pre, blocks, err := chainsim.GenerateAccountChain(baseSweepProfile(), 12, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +172,12 @@ func TestBaseLayerCrashPointSweep(t *testing.T) {
 	const every = 2
 
 	clean := wal.NewFaultFS(wal.NewMemFS())
-	ackedBlocks, ackedFolds, err := baseWorkload(t, clean, pre, blocks, every)
+	ackedBlocks, ackedFolds, autoMerges, err := baseWorkload(t, clean, pre, blocks, every)
 	if err != nil || ackedBlocks != len(blocks) || ackedFolds != len(blocks) {
 		t.Fatalf("clean run: acked %d blocks %d folds err %v", ackedBlocks, ackedFolds, err)
+	}
+	if autoMerges == 0 {
+		t.Fatal("clean run never reached an automatic merge: the sweep would not cover one")
 	}
 	total := clean.Ops()
 	if total == 0 {
@@ -175,7 +188,7 @@ func TestBaseLayerCrashPointSweep(t *testing.T) {
 		for _, keep := range []int{0, 7} {
 			mem := wal.NewMemFS()
 			ff := wal.NewFaultFS(mem, wal.Fault{Op: op, Kind: wal.Crash})
-			ackedBlocks, ackedFolds, werr := baseWorkload(t, ff, pre, blocks, every)
+			ackedBlocks, ackedFolds, _, werr := baseWorkload(t, ff, pre, blocks, every)
 			if !errors.Is(werr, wal.ErrCrashed) {
 				t.Fatalf("op %d: workload survived the crash: %v", op, werr)
 			}

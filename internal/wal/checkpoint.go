@@ -94,10 +94,11 @@ func (d *Dir) WriteCheckpoint(index uint64, st *account.StateDB) error {
 	all = append(all, basestore.Entry{Key: ckptMetaKey, Val: basestore.EncodeU64(index)})
 	all = append(all, entries...)
 	path := filepath.Join(d.path, checkpointName(index))
-	if err := basestore.WriteTable(d.fsys, path, all); err != nil {
+	tbl, err := basestore.WriteTable(d.fsys, path, all)
+	if err != nil {
 		return fmt.Errorf("wal: write checkpoint %d: %w", index, err)
 	}
-	return nil
+	return tbl.Close() // only the file is wanted; recovery reopens and validates it
 }
 
 // openCheckpoint opens and validates one checkpoint table. Only the key

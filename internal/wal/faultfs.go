@@ -191,6 +191,15 @@ func (h *faultHandle) Read(p []byte) (int, error) {
 	return h.f.Read(p)
 }
 
+// ReadAt, like Read, is not a numbered operation, but a crashed
+// filesystem refuses it.
+func (h *faultHandle) ReadAt(p []byte, off int64) (int, error) {
+	if err := h.fs.check(); err != nil {
+		return 0, err
+	}
+	return h.f.ReadAt(p, off)
+}
+
 func (h *faultHandle) Seek(offset int64, whence int) (int64, error) {
 	if err := h.fs.check(); err != nil {
 		return 0, err

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"testing"
 )
@@ -94,6 +95,66 @@ func TestMemFSOverwriteInvalidatesSync(t *testing.T) {
 	got, _ := mem.CrashImage(0).ReadFileVolatile("d/a")
 	if string(got) != "aa" {
 		t.Fatalf("overwritten suffix still durable: %q", got)
+	}
+}
+
+// TestReadAt: both handle types serve positionless reads — ReadAt neither
+// uses nor moves the Read offset, reports io.EOF exactly when it returns
+// short, and refuses a closed handle. Through a FaultFS it is not a
+// numbered operation (a sweep's ordinals stay the mutating calls), but a
+// crashed filesystem refuses it like every other call.
+func TestReadAt(t *testing.T) {
+	mem := NewMemFS()
+	mem.Install("d/a", []byte("0123456789"))
+	ff := NewFaultFS(mem, Fault{Op: 2, Kind: Crash})
+	for _, c := range []struct {
+		name string
+		fsys FS
+	}{{"MemFS", mem}, {"FaultFS", ff}} {
+		name := c.name
+		f, err := c.fsys.OpenFile("d/a", os.O_RDONLY, 0) // FaultFS op 0
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := make([]byte, 2)
+		if _, err := io.ReadFull(f, head); err != nil || string(head) != "01" {
+			t.Fatalf("%s: Read = %q, %v", name, head, err)
+		}
+		p := make([]byte, 4)
+		if n, err := f.ReadAt(p, 5); n != 4 || err != nil || string(p) != "5678" {
+			t.Fatalf("%s: ReadAt(5) = %d %q %v", name, n, p, err)
+		}
+		if n, err := f.ReadAt(p, 8); n != 2 || err != io.EOF || string(p[:n]) != "89" {
+			t.Fatalf("%s: short ReadAt(8) = %d %q %v, want 2 bytes and io.EOF", name, n, p[:n], err)
+		}
+		if n, err := f.ReadAt(p, 10); n != 0 || err != io.EOF {
+			t.Fatalf("%s: ReadAt at EOF = %d %v", name, n, err)
+		}
+		if n, err := f.ReadAt(p, 6); n != 4 || (err != nil && err != io.EOF) || string(p) != "6789" {
+			t.Fatalf("%s: ReadAt ending at EOF = %d %q %v", name, n, p, err)
+		}
+		if _, err := io.ReadFull(f, head); err != nil || string(head) != "23" {
+			t.Fatalf("%s: Read after ReadAt = %q, %v — ReadAt moved the offset", name, head, err)
+		}
+		f.Close()
+		if name == "MemFS" {
+			if _, err := f.ReadAt(p, 0); !errors.Is(err, fs.ErrClosed) {
+				t.Fatalf("closed handle ReadAt: %v", err)
+			}
+		}
+	}
+	if ff.Ops() != 1 {
+		t.Fatalf("reads were numbered: %d ops, want 1 (the open)", ff.Ops())
+	}
+	f, err := ff.OpenFile("d/a", os.O_RDONLY, 0) // op 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ff.SyncDir("d"); !errors.Is(err, ErrCrashed) { // op 2: the crash
+		t.Fatalf("scheduled crash: %v", err)
+	}
+	if _, err := f.ReadAt(make([]byte, 1), 0); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("post-crash ReadAt: %v", err)
 	}
 }
 

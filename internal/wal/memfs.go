@@ -243,6 +243,24 @@ func (h *memHandle) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// ReadAt implements io.ReaderAt: positionless, so it neither reads nor
+// moves the handle's offset.
+func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
+	h.fs.mu.Lock()
+	defer h.fs.mu.Unlock()
+	if h.closed {
+		return 0, fs.ErrClosed
+	}
+	if off < 0 || off >= int64(len(h.node.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, h.node.data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
 func (h *memHandle) Write(p []byte) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
@@ -250,8 +268,8 @@ func (h *memHandle) Write(p []byte) (int, error) {
 		return 0, fs.ErrClosed
 	}
 	end := h.off + int64(len(p))
-	for int64(len(h.node.data)) < end {
-		h.node.data = append(h.node.data, 0)
+	if grow := end - int64(len(h.node.data)); grow > 0 {
+		h.node.data = append(h.node.data, make([]byte, grow)...)
 	}
 	copy(h.node.data[h.off:end], p)
 	// Overwriting previously-synced bytes invalidates their durability
