@@ -42,6 +42,14 @@
 // The garbage collector compacts unreachable delta runs into a single
 // folded node instead of unlinking them, since a delta tail below the
 // horizon still contributes to every visible materialisation.
+//
+// Collection cost: only a chain that gained a version on top of an
+// existing head can hold anything to reclaim, so every such install is
+// queued once, in commit order, and a TruncateBelow pass visits exactly the
+// queued installs at or below its cut. A pass therefore costs one chain
+// visit per version installed since the previous one (and a copy of the
+// queue entries still above the cut), whatever the number of resident keys
+// and whether their heads are absolute or delta versions.
 package mvstore
 
 import (
@@ -91,10 +99,21 @@ type version[V any] struct {
 // keyChain is the per-key chain head. Newest version first. ref is the
 // clock bit of the cold-key evictor: reads set it, CollectCold clears it
 // and skips chains whose bit was set (second chance), so a key must go
-// unread for a full eviction pass before it is considered cold.
+// unread for a full eviction pass before it is considered cold. dropped
+// marks a chain DropChains removed, so the collector skips queued installs
+// that still point at it and never counts its versions twice; guarded by
+// commitMu.
 type keyChain[V any] struct {
-	head atomic.Pointer[version[V]]
-	ref  atomic.Bool
+	head    atomic.Pointer[version[V]]
+	ref     atomic.Bool
+	dropped bool
+}
+
+// queuedInstall is one entry of the collector's queue: chain c gained a
+// version at ts on top of an existing head.
+type queuedInstall[V any] struct {
+	c  *keyChain[V]
+	ts uint64
 }
 
 // Store is a multi-version key-value cache. The zero value is not usable;
@@ -112,11 +131,11 @@ type Store[K comparable, V any] struct {
 	// Readers never take it.
 	commitMu sync.Mutex
 	latest   atomic.Uint64
-	// multi tracks the keys whose chains hold more than one live version —
-	// the only chains garbage collection can shorten — so TruncateBelow is
-	// proportional to superseded keys, not to the whole key space. Guarded
-	// by commitMu.
-	multi map[K]struct{}
+	// gcq queues every install that superseded an existing head, in commit
+	// order and hence ascending ts; TruncateBelow pops the entries at or
+	// below its cut, so each superseding install is visited exactly once.
+	// Guarded by commitMu.
+	gcq []queuedInstall[V]
 
 	// pinMu guards pins. PinLatest reads latest and registers the pin under
 	// pinMu, and TruncateBelow computes the reclaim horizon under pinMu, so
@@ -135,10 +154,7 @@ type Store[K comparable, V any] struct {
 // nothing and fall through to whatever base state the caller layers under
 // the cache.
 func NewStore[K comparable, V any]() *Store[K, V] {
-	return &Store[K, V]{
-		pins:  make(map[uint64]int),
-		multi: make(map[K]struct{}),
-	}
+	return &Store[K, V]{pins: make(map[uint64]int)}
 }
 
 // NewStoreDelta returns an empty store that additionally accepts DeltaAdd
@@ -216,7 +232,7 @@ func (s *Store[K, V]) install(k K, ts uint64, kind WriteKind, val V) {
 	n := &version[V]{ts: ts, kind: kind, val: val}
 	if head := c.head.Load(); head != nil {
 		n.prev.Store(head)
-		s.multi[k] = struct{}{}
+		s.gcq = append(s.gcq, queuedInstall[V]{c: c, ts: ts})
 	}
 	c.head.Store(n)
 	s.versions.Add(1)
@@ -247,7 +263,8 @@ func (s *Store[K, V]) Get(k K, ts uint64) (val V, ok bool) {
 	}
 	ch := c.(*keyChain[V])
 	ch.ref.Store(true)
-	n, deltas := s.walk(ch, ts)
+	var buf [foldBuf]V
+	n, deltas := s.walk(ch, ts, buf[:0])
 	if n == nil {
 		return val, false
 	}
@@ -265,18 +282,25 @@ func (s *Store[K, V]) Resolve(k K, ts uint64, base V) V {
 	}
 	ch := c.(*keyChain[V])
 	ch.ref.Store(true)
-	n, deltas := s.walk(ch, ts)
+	var buf [foldBuf]V
+	n, deltas := s.walk(ch, ts, buf[:0])
 	if n != nil {
 		base = n.val
 	}
 	return s.fold(base, deltas)
 }
 
-// walk descends k's chain skipping versions newer than ts, collecting the
-// delta versions (newest first) above the first absolute version ≤ ts. It
-// returns that anchor (nil when the visible chain is delta-only or empty)
-// and the collected deltas.
-func (s *Store[K, V]) walk(c *keyChain[V], ts uint64) (anchor *version[V], deltas []V) {
+// foldBuf is the length of the stack buffer readers and the collector
+// gather pending deltas into before folding them: GC keeps a visible chain
+// within a few versions of the pipeline depth, so folds spill to the heap
+// only on chains a pin has kept long.
+const foldBuf = 4
+
+// walk descends c's chain skipping versions newer than ts, appending to
+// deltas (newest first) the delta versions above the first absolute
+// version ≤ ts. It returns that anchor (nil when the visible chain is
+// delta-only or empty) and the extended deltas.
+func (s *Store[K, V]) walk(c *keyChain[V], ts uint64, deltas []V) (*version[V], []V) {
 	for n := c.head.Load(); n != nil; n = n.prev.Load() {
 		if n.ts > ts {
 			continue
@@ -337,7 +361,8 @@ func (s *Store[K, V]) RangeLatestResolved(fn func(k K, val V, anchored bool) boo
 		if ch.head.Load() == nil {
 			return true
 		}
-		anchor, deltas := s.walk(ch, math.MaxUint64)
+		var buf [foldBuf]V
+		anchor, deltas := s.walk(ch, math.MaxUint64, buf[:0])
 		var val V
 		if anchor != nil {
 			val = anchor.val
@@ -359,7 +384,8 @@ func (s *Store[K, V]) RangeResolvedAt(ts uint64, fn func(k K, val V, anchored bo
 	s.chains.Range(func(k, c any) bool {
 		ch := c.(*keyChain[V])
 		var newest uint64
-		var deltas []V
+		var buf [foldBuf]V
+		deltas := buf[:0]
 		var anchor *version[V]
 		seen := false
 		for n := ch.head.Load(); n != nil; n = n.prev.Load() {
@@ -501,17 +527,20 @@ func (s *Store[K, V]) minPinned() uint64 {
 }
 
 // TruncateBelow reclaims versions that no snapshot at or above
-// min(horizon, oldest pinned timestamp) can observe. For every key, find
-// the newest version n with ts ≤ cut — every live snapshot resolves through
+// min(horizon, oldest pinned timestamp) can observe. For every chain that
+// gained a version at or below that cut since the previous pass, find the
+// newest version n with ts ≤ cut — every live snapshot resolves through
 // it. If n is absolute, everything older is invisible and is unlinked, as a
 // single-version store would. If n is a delta, the tail below it still
 // contributes to every materialisation, so instead of unlinking it the
 // collector *compacts* it: the sub-chain below n folds into one node — an
 // absolute node when it contains a Put anchor, a summed delta node
 // otherwise — keeping delta chains bounded by the pipeline depth instead of
-// growing with chain length. Returns the number of versions reclaimed.
-// Safe to run concurrently with readers (nodes are immutable; a reader
-// mid-walk finishes on the old, equivalent tail); serialised against
+// growing with chain length. No other chain can hold a reclaimable version:
+// one whose queued installs a pass already popped has at most one node
+// below the version that pass cut at. Returns the number of versions
+// reclaimed. Safe to run concurrently with readers (nodes are immutable; a
+// reader mid-walk finishes on the old, equivalent tail); serialised against
 // Commit.
 func (s *Store[K, V]) TruncateBelow(horizon uint64) int {
 	s.pinMu.Lock()
@@ -526,74 +555,80 @@ func (s *Store[K, V]) TruncateBelow(horizon uint64) int {
 
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	reclaimed := 0
-	//txlint:ordered per-key GC under commitMu; each iteration truncates only k's chain and reclaimed is a commutative count
-	for k := range s.multi {
-		c, found := s.chains.Load(k)
-		if !found {
-			delete(s.multi, k)
-			continue
+	reclaimed, i := 0, 0
+	for ; i < len(s.gcq) && s.gcq[i].ts <= cut; i++ {
+		if c := s.gcq[i].c; !c.dropped {
+			reclaimed += s.truncateChain(c, cut)
 		}
-		head := c.(*keyChain[V]).head.Load()
-		n := head
-		for n != nil && n.ts > cut {
-			n = n.prev.Load()
-		}
-		if n == nil {
-			continue
-		}
-		if n.kind == Put {
-			// n must survive (it is the value visible snapshots read);
-			// everything strictly older is unobservable.
-			for old := n.prev.Load(); old != nil; old = old.prev.Load() {
-				reclaimed++
-			}
-			n.prev.Store(nil)
-			if n == head {
-				// The chain is back to a single version; nothing left to
-				// collect until the key is rewritten.
-				delete(s.multi, k)
-			}
-			continue
-		}
-		// n is a delta: compact the tail strictly below it. Collect the
-		// sub-chain down to (and including) the first absolute anchor;
-		// anything below the anchor is unobservable.
-		sub := n.prev.Load()
-		if sub == nil {
-			continue
-		}
-		count := 0
-		var deltas []V // newest first
-		var anchor *version[V]
-		for node := sub; node != nil; node = node.prev.Load() {
-			count++
-			if node.kind == Put {
-				anchor = node
-				break
-			}
-			deltas = append(deltas, node.val)
-		}
-		if anchor != nil {
-			for old := anchor.prev.Load(); old != nil; old = old.prev.Load() {
-				count++
-			}
-		}
-		if count <= 1 {
-			continue
-		}
-		folded := version[V]{ts: sub.ts, kind: DeltaAdd}
-		if anchor != nil {
-			folded.kind = Put
-			folded.val = anchor.val
-		}
-		folded.val = s.fold(folded.val, deltas)
-		n.prev.Store(&folded)
-		reclaimed += count - 1
+	}
+	if i > 0 {
+		// Shift the survivors down so the queue reuses its array instead
+		// of regrowing one behind a moving start.
+		n := copy(s.gcq, s.gcq[i:])
+		clear(s.gcq[n:]) // vacated slots must not keep dropped chains alive
+		s.gcq = s.gcq[:n]
 	}
 	s.versions.Add(int64(-reclaimed))
 	s.reclaimed.Add(int64(reclaimed))
 	return reclaimed
+}
+
+// truncateChain applies TruncateBelow's unlink-or-compact step to one
+// chain at cut and returns the number of versions it reclaimed. A chain
+// already collected at cut is left unchanged. Caller holds commitMu.
+func (s *Store[K, V]) truncateChain(c *keyChain[V], cut uint64) int {
+	n := c.head.Load()
+	for n != nil && n.ts > cut {
+		n = n.prev.Load()
+	}
+	if n == nil {
+		return 0
+	}
+	if n.kind == Put {
+		// n must survive (it is the value visible snapshots read);
+		// everything strictly older is unobservable.
+		reclaimed := 0
+		for old := n.prev.Load(); old != nil; old = old.prev.Load() {
+			reclaimed++
+		}
+		n.prev.Store(nil)
+		return reclaimed
+	}
+	// n is a delta: compact the tail strictly below it. Collect the
+	// sub-chain down to (and including) the first absolute anchor;
+	// anything below the anchor is unobservable.
+	sub := n.prev.Load()
+	if sub == nil {
+		return 0
+	}
+	count := 0
+	var buf [foldBuf]V
+	deltas := buf[:0] // newest first
+	var anchor *version[V]
+	for node := sub; node != nil; node = node.prev.Load() {
+		count++
+		if node.kind == Put {
+			anchor = node
+			break
+		}
+		deltas = append(deltas, node.val)
+	}
+	if anchor != nil {
+		for old := anchor.prev.Load(); old != nil; old = old.prev.Load() {
+			count++
+		}
+	}
+	if count <= 1 {
+		return 0
+	}
+	folded := version[V]{ts: sub.ts, kind: DeltaAdd}
+	if anchor != nil {
+		folded.kind = Put
+		folded.val = anchor.val
+	}
+	folded.val = s.fold(folded.val, deltas)
+	n.prev.Store(&folded)
+	return count - 1
 }
 
 // Evicted is one cold key surfaced by CollectCold: its fully materialised
@@ -643,7 +678,8 @@ func (s *Store[K, V]) CollectCold(horizon uint64, max int) []Evicted[K, V] {
 		if ch.ref.Swap(false) {
 			return true // recently read: one more pass before eviction
 		}
-		anchor, deltas := s.walk(ch, math.MaxUint64)
+		var buf [foldBuf]V
+		anchor, deltas := s.walk(ch, math.MaxUint64, buf[:0])
 		var val V
 		if anchor != nil {
 			val = anchor.val
@@ -680,7 +716,8 @@ func (s *Store[K, V]) DropChains(keys []K, horizon uint64) int {
 		if !found {
 			continue
 		}
-		head := c.(*keyChain[V]).head.Load()
+		ch := c.(*keyChain[V])
+		head := ch.head.Load()
 		if head == nil || head.ts > cut {
 			continue
 		}
@@ -689,7 +726,7 @@ func (s *Store[K, V]) DropChains(keys []K, horizon uint64) int {
 			n++
 		}
 		s.chains.Delete(k)
-		delete(s.multi, k)
+		ch.dropped = true
 		s.keys.Add(-1)
 		s.versions.Add(int64(-n))
 		dropped++

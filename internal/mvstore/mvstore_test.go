@@ -118,13 +118,112 @@ func TestVersionGC(t *testing.T) {
 	if v, ok := s.Get("hot", 10); !ok || v != 10 {
 		t.Fatalf("newest version must survive GC, got %d,%v", v, ok)
 	}
-	// Fully collected chains leave the dirty set, so repeated GC with no
-	// new commits is O(1) (white-box).
-	if len(s.multi) != 0 {
-		t.Fatalf("dirty set not drained after full GC: %d keys", len(s.multi))
+	// The cut passed every install, so the GC queue is drained and
+	// repeated GC with no new commits is O(1) (white-box).
+	if len(s.gcq) != 0 {
+		t.Fatalf("GC queue not drained after full GC: %d installs", len(s.gcq))
 	}
 	if got := s.TruncateBelow(10); got != 0 {
 		t.Fatalf("idle GC reclaimed %d versions", got)
+	}
+}
+
+// TestVersionGCDeltaHeaded is TestVersionGC on chains whose version at the
+// cut is a delta, one anchored by a Put and one delta-only: the collector
+// compacts their tails instead of unlinking them, and the chains must
+// still leave the GC queue once the cut passes their installs.
+func TestVersionGCDeltaHeaded(t *testing.T) {
+	s := NewStoreDelta[string, int](func(onto, delta int) int { return onto + delta })
+	if err := s.CommitWrites(1, map[string]Write[int]{
+		"anchored": {Kind: Put, Val: 1000},
+		"pure":     {Kind: DeltaAdd, Val: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for ts := uint64(2); ts <= 10; ts++ {
+		if err := s.CommitWrites(ts, map[string]Write[int]{
+			"anchored": {Kind: DeltaAdd, Val: int(ts)},
+			"pure":     {Kind: DeltaAdd, Val: int(ts)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	snap := s.PinAt(4)
+	// Cut 4: each chain keeps its delta at 4 and folds the three versions
+	// below it into one node.
+	if got := s.TruncateBelow(10); got != 4 {
+		t.Fatalf("reclaimed = %d, want 4", got)
+	}
+	if v := snap.Resolve("anchored", 0); v != 1009 {
+		t.Fatalf("pinned anchored read = %d, want 1009", v)
+	}
+	if v := snap.Resolve("pure", 100); v != 110 {
+		t.Fatalf("pinned delta-only read = %d, want 110", v)
+	}
+
+	snap.Release()
+	// Cut 10: the delta at 10 stays; the six deltas below it and the
+	// folded node fold again.
+	if got := s.TruncateBelow(10); got != 12 {
+		t.Fatalf("reclaimed after release = %d, want 12", got)
+	}
+	if st := s.StoreStats(); st.Versions != 4 || st.Reclaimed != 16 {
+		t.Fatalf("stats after full GC = %+v, want 4 live, 16 reclaimed", st)
+	}
+	if v := s.Resolve("anchored", 10, 0); v != 1054 {
+		t.Fatalf("anchored = %d, want 1054", v)
+	}
+	if v := s.Resolve("pure", 10, 100); v != 155 {
+		t.Fatalf("delta-only = %d, want 155", v)
+	}
+	// A delta-headed chain whose tail is already one node has nothing
+	// left to collect until the key is rewritten (white-box).
+	if len(s.gcq) != 0 {
+		t.Fatalf("GC queue not drained after full GC: %d installs", len(s.gcq))
+	}
+	if got := s.TruncateBelow(10); got != 0 {
+		t.Fatalf("idle GC reclaimed %d versions", got)
+	}
+}
+
+// TestGCWorkBoundedByInstalls: a GC pass visits the installs since the
+// previous pass, not the resident keys. 10k delta-headed chains, each
+// credited twice — what operation-level balance deltas make of every
+// account ever credited — leave the GC queue once the cut passes their
+// installs, and a later pass with no commits has nothing to visit
+// (white-box).
+func TestGCWorkBoundedByInstalls(t *testing.T) {
+	const keys = 10_000
+	s := NewStoreDelta[int, int64](addI64)
+	writes := make(map[int]Write[int64], keys)
+	for ts := uint64(1); ts <= 2; ts++ {
+		for k := 0; k < keys; k++ {
+			writes[k] = Write[int64]{Kind: DeltaAdd, Val: int64(k)}
+		}
+		if err := s.CommitWrites(ts, writes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.gcq) != keys {
+		t.Fatalf("queued installs = %d, want %d (the second commit superseded every head)", len(s.gcq), keys)
+	}
+	for cut := uint64(1); cut <= s.Latest(); cut++ {
+		s.TruncateBelow(cut)
+	}
+	if len(s.gcq) != 0 {
+		t.Fatalf("GC queue holds %d installs after the cut passed them all", len(s.gcq))
+	}
+	if got := s.TruncateBelow(s.Latest()); got != 0 || len(s.gcq) != 0 {
+		t.Fatalf("idle pass reclaimed %d versions, queue %d", got, len(s.gcq))
+	}
+	if st := s.StoreStats(); st.Versions != 2*keys {
+		t.Fatalf("live versions = %d, want %d (a two-delta chain has nothing to reclaim)", st.Versions, 2*keys)
+	}
+	for k := 0; k < keys; k += 997 {
+		if got := s.Resolve(k, 2, 1); got != 1+2*int64(k) {
+			t.Fatalf("Resolve(%d) = %d, want %d", k, got, 1+2*int64(k))
+		}
 	}
 }
 
