@@ -214,47 +214,6 @@ func BenchmarkTraceReplayComparison(b *testing.B) {
 	}
 }
 
-func BenchmarkStreamingComparison(b *testing.B) {
-	// E13 at benchmark scale: the full streaming service — JSON-RPC
-	// submission clients, bounded mempool, block builder (FIFO and
-	// conflict-aware), sharded streaming executor — with every run
-	// verified against the sequential replay of the built chain. The
-	// recorded baseline lives in docs/bench/E13-baseline.json (regenerate
-	// with `go run ./cmd/experiments -run streaming -json`).
-	for i := 0; i < b.N; i++ {
-		tbl, err := bench.StreamingComparison(int64(2020+i), 8, 4)
-		renderAll(b, err)
-		renderAll(b, bench.RenderTable(io.Discard, tbl))
-	}
-}
-
-func BenchmarkRecoveryComparison(b *testing.B) {
-	// E14 at benchmark scale: the durable builder service (WAL
-	// persist-then-ack, async checkpoints) against the in-memory control,
-	// with cold recovery timed and verified per row. The recorded baseline
-	// lives in docs/bench/E14-baseline.json (regenerate with
-	// `go run ./cmd/experiments -run recovery -json`).
-	for i := 0; i < b.N; i++ {
-		tbl, err := bench.RecoveryComparison(int64(2020+i), 8, 4)
-		renderAll(b, err)
-		renderAll(b, bench.RenderTable(io.Discard, tbl))
-	}
-}
-
-func BenchmarkMemoryBoundedComparison(b *testing.B) {
-	// E15 at benchmark scale: the sharded executor with per-shard cache
-	// budgets at 1/10 and 1/100 of the account population, evicting to a
-	// real base store on disk, against the all-RAM control — every row
-	// root- and receipt-verified. The recorded baseline lives in
-	// docs/bench/E15-baseline.json (regenerate with
-	// `go run ./cmd/experiments -run memorybounded -json`).
-	for i := 0; i < b.N; i++ {
-		tbl, err := bench.MemoryBoundedComparison(int64(2020+i), 8, 4)
-		renderAll(b, err)
-		renderAll(b, bench.RenderTable(io.Discard, tbl))
-	}
-}
-
 // Micro-benchmarks of the pipeline stages.
 
 func BenchmarkTDGBuildAccount(b *testing.B) {

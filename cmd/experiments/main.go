@@ -10,12 +10,11 @@
 // The -run filter selects experiments by name (tableI, fig1, fig4, fig5,
 // fig6, fig7, fig8, fig9, fig10, summary, exec, sched, approxtdg,
 // interblock, utxoexec, sharding, shardingexec, shardedpipeline,
-// adaptiveshard, tracereplay, streaming, recovery, memorybounded, census,
-// pipeline, oplevel). With
-// -json,
-// table experiments
-// emit one JSON object per table (figures stay text) — the format of the
-// recorded benchmark baselines. Note that "-run sharding" matches the
+// adaptiveshard, tracereplay, census, pipeline, oplevel). With -json,
+// table experiments emit one JSON object per table (figures stay text) —
+// the format of the recorded benchmark baselines. Wall-clock service
+// numbers are not an experiment here: they come from the nodebench
+// harness under benchmarks/. Note that "-run sharding" matches the
 // analytical E6 (sharding), the executable E9 (shardingexec) and the
 // pipelined E10 (shardedpipeline), and "-run shard" additionally matches
 // the adaptive E11 (adaptiveshard); anchor the regexp ("sharding$") to run
@@ -264,33 +263,6 @@ func run(args []string) error {
 		tbl, err := bench.TraceReplayComparison(*seed, 8, 4, 2, 4)
 		if err != nil {
 			return fmt.Errorf("tracereplay: %w", err)
-		}
-		if err := renderTable(out, tbl); err != nil {
-			return err
-		}
-	}
-	if want("streaming") {
-		tbl, err := bench.StreamingComparison(*seed, 8, 4)
-		if err != nil {
-			return fmt.Errorf("streaming: %w", err)
-		}
-		if err := renderTable(out, tbl); err != nil {
-			return err
-		}
-	}
-	if want("recovery") {
-		tbl, err := bench.RecoveryComparison(*seed, 8, 4)
-		if err != nil {
-			return fmt.Errorf("recovery: %w", err)
-		}
-		if err := renderTable(out, tbl); err != nil {
-			return err
-		}
-	}
-	if want("memorybounded") {
-		tbl, err := bench.MemoryBoundedComparison(*seed, 8, 4)
-		if err != nil {
-			return fmt.Errorf("memorybounded: %w", err)
 		}
 		if err := renderTable(out, tbl); err != nil {
 			return err

@@ -6,13 +6,12 @@ import (
 
 	"txconcur/internal/account"
 	"txconcur/internal/basestore"
-	"txconcur/internal/mvstore"
 	"txconcur/internal/types"
 )
 
-// StateBackend is the chain drivers' seam to the disk-backed base layer
-// (internal/basestore.Store is the production implementation): cold keys
-// evicted from the mvstore version cache are folded into it, and cache
+// StateBackend is the sharded chain drivers' seam to the disk-backed base
+// layer (internal/basestore.Store is the production implementation): cold
+// keys evicted from the mvstore version caches are folded into it, and cache
 // misses read through to it, so the cache holds only hot keys and total
 // state can exceed RAM. Implementations must be safe for concurrent use —
 // speculative workers read while the committer evicts.
@@ -160,41 +159,6 @@ func (b *backedState) GetStorage(a types.Address, slot uint64) uint64 {
 		return u
 	}
 	return b.st.GetStorage(a, slot)
-}
-
-// evictCold moves cold keys from a single version cache into the backend:
-// collect resolved cold keys down to budget, durably persist them
-// (delta-only balance chains folded over the backed base, preserving
-// commutativity), then — and only then — drop the chains, so a reader that
-// misses a dropped chain always finds the value in the backend. horizon
-// must be the GC horizon of the commit that triggered eviction. Returns
-// the number of chains dropped.
-func evictCold(mv *mvstore.Store[StateKey, stateVal], bst *backedState, horizon uint64, budget int) (int, error) {
-	excess := mv.StoreStats().Keys - budget
-	if excess <= 0 {
-		return 0, nil
-	}
-	cold := mv.CollectCold(horizon, excess)
-	if len(cold) == 0 {
-		return 0, nil
-	}
-	entries := make([]basestore.Entry, 0, len(cold))
-	keys := make([]StateKey, 0, len(cold))
-	for _, ev := range cold {
-		v := ev.Val
-		if !ev.Anchored {
-			// Deltas exist only for balances: fold the accumulated
-			// increment over the backed base so the persisted value is
-			// absolute.
-			v = stateVal{i64: bst.GetBalance(ev.Key.Addr) + ev.Val.i64}
-		}
-		entries = append(entries, basestore.Entry{Key: encodeStateKey(ev.Key), Val: encodeStateVal(ev.Key, v)})
-		keys = append(keys, ev.Key)
-	}
-	if err := bst.be.Apply(entries); err != nil {
-		return 0, err
-	}
-	return mv.DropChains(keys, horizon), nil
 }
 
 // foldBackendInto installs every backend entry into st — the base-layer

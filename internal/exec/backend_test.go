@@ -8,10 +8,12 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"txconcur/internal/account"
 	"txconcur/internal/basestore"
 	"txconcur/internal/chainsim"
+	"txconcur/internal/core"
 	"txconcur/internal/exec/testutil"
 	"txconcur/internal/heat"
 	"txconcur/internal/mvstore"
@@ -61,11 +63,12 @@ func readThrough(mv *mvstore.Store[StateKey, stateVal], bs baseState, k StateKey
 }
 
 // TestBoundedBackendQuickEquivalence is the cache-bounding correctness
-// property, checked over random op sequences and cache budgets (including
-// budget 0 and budget ∞): a version cache that evicts cold keys into a
-// disk backend and reads through to it must be observationally identical
-// to the pure in-RAM cache — same per-key reads at every step, same final
-// fold, same root.
+// property, checked over random op sequences, cache budgets (including
+// budget 0 and budget ∞) and one or two shards: per-shard version caches
+// that evict cold keys into a disk backend through the chain drivers'
+// evictShards and read through to it must be observationally identical to
+// one pure in-RAM cache — same per-key reads at every step, same final
+// fold (finishChain's), same root.
 func TestBoundedBackendQuickEquivalence(t *testing.T) {
 	const nAddr, depth, steps = 10, 2, 24
 	addrs := make([]types.Address, nAddr)
@@ -83,17 +86,18 @@ func TestBoundedBackendQuickEquivalence(t *testing.T) {
 	}
 	pre.DiscardJournal()
 
-	property := func(seed int64, budgetSel uint8) bool {
+	property := func(seed int64, budgetSel, shardSel uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		budget := quickBudget(budgetSel)
+		m := core.StaticShardMap(1 + int(shardSel%2))
 		mvC := mvstore.NewStoreDelta[StateKey, stateVal](mergeStateVal)
-		mvB := mvstore.NewStoreDelta[StateKey, stateVal](mergeStateVal)
 		store, err := basestore.OpenStore(wal.NewMemFS(), "base")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer store.Close()
-		bst := &backedState{st: pre, be: store}
+		e := Sharded{Workers: 1, Backend: store, CacheBudget: budget}
+		c := e.newShardedChain(pre.Copy(), m, 0)
 
 		randKey := func() StateKey {
 			a := addrs[rng.Intn(nAddr)]
@@ -128,41 +132,50 @@ func TestBoundedBackendQuickEquivalence(t *testing.T) {
 			if err := mvC.CommitWrites(ts, writes); err != nil {
 				t.Fatal(err)
 			}
-			if err := mvB.CommitWrites(ts, writes); err != nil {
-				t.Fatal(err)
+			// Every shard commits at every timestamp, as the chain drivers do.
+			parts := make([]map[StateKey]mvstore.Write[stateVal], m.Shards())
+			for sh := range parts {
+				parts[sh] = make(map[StateKey]mvstore.Write[stateVal])
+			}
+			for k, w := range writes {
+				parts[m.Shard(k.Addr)][k] = w
+			}
+			for sh, mv := range c.mvs {
+				if err := mv.CommitWrites(ts, parts[sh]); err != nil {
+					t.Fatal(err)
+				}
 			}
 			// Random reads after every commit — these also exercise the
 			// clock bits, so eviction interleaves with second chances.
 			for n := rng.Intn(6); n > 0; n-- {
 				k := randKey()
-				if got, want := readThrough(mvB, bst, k, ts), readThrough(mvC, pre, k, ts); got != want {
-					t.Logf("seed %d budget %d ts %d key %+v: bounded read %q, control %q", seed, budget, ts, k, got, want)
+				if got, want := readThrough(c.mvs[m.Shard(k.Addr)], c.bs, k, ts), readThrough(mvC, pre, k, ts); got != want {
+					t.Logf("seed %d budget %d shards %d ts %d key %+v: bounded read %q, control %q",
+						seed, budget, m.Shards(), ts, k, got, want)
 					return false
 				}
 			}
 			if ts > depth+1 {
 				horizon := ts - depth - 1
 				mvC.TruncateBelow(horizon)
-				mvB.TruncateBelow(horizon)
-				if _, err := evictCold(mvB, bst, horizon, budget); err != nil {
+				for _, mv := range c.mvs {
+					mv.TruncateBelow(horizon)
+				}
+				if _, err := c.evictShards(horizon); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		if err := bst.Err(); err != nil {
+		cr, _, err := e.finishChain(c, time.Now())
+		if err != nil {
 			t.Fatal(err)
 		}
 		stC := pre.Copy()
 		mvC.RangeLatestResolved(foldResolvedInto(stC))
 		stC.DiscardJournal()
-		stB := pre.Copy()
-		if err := foldBackendInto(store, stB); err != nil {
-			t.Fatal(err)
-		}
-		mvB.RangeLatestResolved(foldResolvedInto(stB))
-		stB.DiscardJournal()
-		if stB.Root() != stC.Root() {
-			t.Logf("seed %d budget %d: bounded root %s, control %s", seed, budget, stB.Root().Short(), stC.Root().Short())
+		if cr.Root != stC.Root() {
+			t.Logf("seed %d budget %d shards %d: bounded root %s, control %s",
+				seed, budget, m.Shards(), cr.Root.Short(), stC.Root().Short())
 			return false
 		}
 		return true
@@ -249,27 +262,48 @@ func (e Sharded) withBackend(be StateBackend) Sharded {
 	return e
 }
 
-// TestBoundedPipelineSerialEquivalence: the pipeline engine under the
-// same tiny budget, against the flagship profile set.
-func TestBoundedPipelineSerialEquivalence(t *testing.T) {
-	pre, blocks, err := chainsim.GenerateAccountChain(chainsim.ShardUniformProfile(), 6, 11)
+// TestBoundedChainOnDisk: the bounded sharded chain over a basestore.Store
+// on the OS filesystem, on a wide population whose skewed active set keeps
+// faulting different cold accounts, with the caches at 1/100 of the
+// accounts. Keys must be evicted to disk and read back from it, the store
+// must hold them at the end, and the root and receipts must match the
+// sequential replay.
+func TestBoundedChainOnDisk(t *testing.T) {
+	const users, shards = 4000, 4
+	p := chainsim.Profile{
+		Name: "Memory Bounded", Model: chainsim.Account, Consensus: "PoW",
+		DataSource: "Synthetic", LaunchYear: 2020,
+		Eras: []chainsim.Era{
+			{Name: "wide", Weight: 1, StartTime: 1577836800, BlockInterval: 15,
+				TxPerBlock: 150, TxPerBlockJitter: 0.3, Users: users,
+				ActiveFrac: 2.5, HotSenderFrac: 0.6, HotSenders: 4},
+		},
+	}
+	pre, blocks, err := chainsim.GenerateAccountChain(p, 12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq := testutil.ReplaySequential(t, pre, blocks)
-	for _, op := range []bool{false, true} {
-		bs := boundedStore(t)
-		cr, err := Pipeline{Workers: 8, Depth: 2, OpLevel: op, Backend: bs, CacheBudget: 4}.
-			ExecuteChain(pre.Copy(), blocks)
-		if err != nil {
-			t.Fatalf("op=%v: %v", op, err)
-		}
-		seq.RequireChain(t, "pipeline", cr.Root, cr.Receipts)
-		if cr.Evicted == 0 {
-			t.Fatalf("op=%v: pipeline evicted nothing under budget 4", op)
-		}
-		bs.Close()
+	store, err := basestore.OpenStore(basestore.OS{}, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer store.Close()
+	e := Sharded{Workers: 8, Shards: shards, Depth: 2, OpLevel: true, Backend: store, CacheBudget: users / 100 / shards}
+	cr, css, err := e.ExecuteChain(pre.Copy(), blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq.RequireChain(t, p.Name, cr.Root, cr.Receipts)
+	if css.Evicted == 0 || css.ColdReads == 0 {
+		t.Fatalf("evicted %d, cold reads %d: the budget never bound", css.Evicted, css.ColdReads)
+	}
+	st := store.Stats()
+	if st.IndexedKeys == 0 {
+		t.Fatalf("base store holds no keys after %d evictions", css.Evicted)
+	}
+	t.Logf("evicted %d chains, %d cold reads, %d base keys in %d generations",
+		css.Evicted, css.ColdReads, st.IndexedKeys, st.Generations)
 }
 
 // faultyBackend is an in-memory StateBackend whose Get or Apply can be
@@ -319,8 +353,9 @@ func (f *faultyBackend) Range(fn func(key string, val []byte) bool) error {
 }
 
 // TestBoundedChainBackendErrorPropagates: a backend that fails its reads
-// or its eviction writes must abort the chain with a visible error — the
-// latched-read fallback is never allowed to become a committed result.
+// or its eviction writes must abort the chain — batch and streamed — with a
+// visible error: the latched-read fallback is never allowed to become a
+// committed result.
 func TestBoundedChainBackendErrorPropagates(t *testing.T) {
 	pre, blocks, err := chainsim.GenerateAccountChain(chainsim.ShardUniformProfile(), 6, 11)
 	if err != nil {
@@ -336,17 +371,22 @@ func TestBoundedChainBackendErrorPropagates(t *testing.T) {
 	} {
 		fb := newFaultyBackend()
 		tc.set(fb)
-		_, _, err := Sharded{Workers: 4, Shards: 2, Depth: 2, Backend: fb, CacheBudget: 0}.
-			ExecuteChain(pre.Copy(), blocks)
-		if !errors.Is(err, boom) {
-			t.Fatalf("sharded %s fault: err = %v, want the injected failure", tc.name, err)
+		e := Sharded{Workers: 4, Shards: 2, Depth: 2, Backend: fb, CacheBudget: 0}
+		if _, _, err := e.ExecuteChain(pre.Copy(), blocks); !errors.Is(err, boom) {
+			t.Fatalf("batch %s fault: err = %v, want the injected failure", tc.name, err)
 		}
 		fb = newFaultyBackend()
 		tc.set(fb)
-		_, err = Pipeline{Workers: 4, Depth: 2, Backend: fb, CacheBudget: 0}.
-			ExecuteChain(pre.Copy(), blocks)
-		if !errors.Is(err, boom) {
-			t.Fatalf("pipeline %s fault: err = %v, want the injected failure", tc.name, err)
+		e.Backend = fb
+		// Buffered and closed up front: the aborted stream stops reading,
+		// and no feeder goroutine is left blocked on a send.
+		ch := make(chan *account.Block, len(blocks))
+		for _, b := range blocks {
+			ch <- b
+		}
+		close(ch)
+		if _, _, err := e.ExecuteChainStream(pre.Copy(), ch, nil); !errors.Is(err, boom) {
+			t.Fatalf("stream %s fault: err = %v, want the injected failure", tc.name, err)
 		}
 	}
 }

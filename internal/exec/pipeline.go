@@ -62,16 +62,6 @@ type Pipeline struct {
 	// Cost overrides the per-transaction schedule weight used for the
 	// GasSeq/GasPar accounting; nil charges the receipt's gas.
 	Cost CostModel
-	// Backend, if non-nil, is the disk-backed base layer below the version
-	// cache: after each GC pass the committer evicts cold, fully resolved
-	// keys beyond CacheBudget into it, and cache misses read through to it
-	// before falling back to the pre-chain state. nil keeps the historical
-	// all-RAM behaviour.
-	Backend StateBackend
-	// CacheBudget is the target resident key count of the version cache
-	// when Backend is set: eviction trims cold keys down to it (0 evicts
-	// every cold key each pass). Ignored without a Backend.
-	CacheBudget int
 }
 
 // BlockStats describes the pipeline's work on one block.
@@ -101,18 +91,13 @@ type ChainResult struct {
 	Stats Stats
 	// Blocks holds per-block counters.
 	Blocks []BlockStats
-	// Evicted counts version chains the committer moved from the cache to
-	// the state backend; ColdReads counts reads the backend served after
-	// their key was evicted. Both zero without a backend.
-	Evicted   int
-	ColdReads int
 }
 
 // snapState adapts a multi-version snapshot layered over an immutable base
-// — the pre-chain StateDB, or a backedState reading through the disk base
-// layer first — to the account.State reads. All execution writes go
-// through recording overlays, never through their base, so the mutators
-// panic to surface any violation of that invariant.
+// — the pre-chain StateDB, or (in a bounded sharded chain) a backedState
+// reading through the disk base layer first — to the account.State reads.
+// All execution writes go through recording overlays, never through their
+// base, so the mutators panic to surface any violation of that invariant.
 type snapState struct {
 	base baseState
 	snap *mvstore.Snapshot[StateKey, stateVal]
@@ -256,15 +241,6 @@ func (e Pipeline) ExecuteChain(st *account.StateDB, blocks []*account.Block) (*C
 	start := time.Now()
 	mv := mvstore.NewStoreDelta[StateKey, stateVal](mergeStateVal)
 
-	// The speculative base: the pre-chain state, read through the disk
-	// base layer when one is configured (evicted keys resolve from it).
-	var bs baseState = st
-	var bst *backedState
-	if e.Backend != nil {
-		bst = &backedState{st: st, be: e.Backend}
-		bs = bst
-	}
-
 	// Stage 1: speculative execution, one block at a time, each transaction
 	// on its own read/write-recording overlay over a pinned snapshot. The
 	// channel buffer is the pipeline depth: stage 1 runs at most depth
@@ -300,7 +276,7 @@ func (e Pipeline) ExecuteChain(st *account.StateDB, blocks []*account.Block) (*C
 			} else {
 				snap = mv.PinLatest()
 			}
-			ss := &snapState{base: bs, snap: snap}
+			ss := &snapState{base: st, snap: snap}
 			x := len(blk.Txs)
 			sb := specBlock{
 				idx:      i,
@@ -341,7 +317,6 @@ func (e Pipeline) ExecuteChain(st *account.StateDB, blocks []*account.Block) (*C
 	p2Gas := make([]uint64, len(blocks))
 	var seqUnits int
 	var gasSeq uint64
-	evicted := 0
 
 	for sb := range specCh {
 		blk := blocks[sb.idx]
@@ -351,7 +326,7 @@ func (e Pipeline) ExecuteChain(st *account.StateDB, blocks []*account.Block) (*C
 
 		// acc accumulates the block's true (sequential-prefix) writes over
 		// the committed state as of the previous block.
-		acc := newOverlayOp(&snapState{base: bs, snap: mv.At(commitTS - 1)}, e.OpLevel)
+		acc := newOverlayOp(&snapState{base: st, snap: mv.At(commitTS - 1)}, e.OpLevel)
 		// blockWrites holds every key written so far by this block —
 		// absolute writes and deltas alike, since a later transaction that
 		// *read* the key missed either kind in its snapshot.
@@ -437,23 +412,6 @@ func (e Pipeline) ExecuteChain(st *account.StateDB, blocks []*account.Block) (*C
 			}
 		}
 		mv.TruncateBelow(horizon)
-		// Cold-key eviction: after GC, move fully resolved cold keys
-		// beyond the cache budget into the base layer. A backend failure —
-		// here or latched by a concurrent cold read — aborts the chain; a
-		// half-evicted batch is harmless (persist happens before drop, so
-		// the backend only ever holds values the cache no longer shadows
-		// incorrectly).
-		if bst != nil {
-			ev, err := evictCold(mv, bst, horizon, e.CacheBudget)
-			if err == nil {
-				err = bst.Err()
-			}
-			if err != nil {
-				abort()
-				return nil, fmt.Errorf("exec: pipeline block %d: state backend: %w", blk.Height, err)
-			}
-			evicted += ev
-		}
 
 		all[sb.idx] = receipts
 		gasBlock := costSum(e.Cost, blk.Txs, receipts)
@@ -470,25 +428,11 @@ func (e Pipeline) ExecuteChain(st *account.StateDB, blocks []*account.Block) (*C
 		gasSeq += gasBlock
 	}
 
-	// Fold the base layer's entries, then the cache's newest values, into
-	// the caller's state database — in that order: cache chains are
-	// strictly newer than the base values their keys evicted to.
-	if bst != nil {
-		err := bst.Err()
-		if err == nil {
-			err = foldBackendInto(bst.be, st)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("exec: pipeline: state backend: %w", err)
-		}
-	}
+	// Fold the cache's newest values into the caller's state database.
 	mv.RangeLatestResolved(foldResolvedInto(st))
 	st.DiscardJournal()
 
-	res := &ChainResult{Receipts: all, Root: st.Root(), Blocks: blockStats, Evicted: evicted}
-	if bst != nil {
-		res.ColdReads = bst.ColdReads()
-	}
+	res := &ChainResult{Receipts: all, Root: st.Root(), Blocks: blockStats}
 	conflicted := 0
 	for _, bs := range blockStats {
 		conflicted += bs.Reexecuted

@@ -20,7 +20,6 @@ package mempool
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -227,44 +226,4 @@ func (p *Pool) failPending(err error) {
 	for _, tx := range left {
 		tx.resolve(err)
 	}
-}
-
-// LatencyStats summarises a set of submit → committed latencies.
-type LatencyStats struct {
-	Count    int
-	P50, P99 time.Duration
-	Max      time.Duration
-	Mean     time.Duration
-}
-
-// Latencies computes order statistics over samples (the input is not
-// mutated). The quantile convention is the nearest-rank method.
-func Latencies(samples []time.Duration) LatencyStats {
-	var s LatencyStats
-	s.Count = len(samples)
-	if s.Count == 0 {
-		return s
-	}
-	sorted := make([]time.Duration, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := func(q float64) time.Duration {
-		i := int(q*float64(len(sorted))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
-	s.P50 = rank(0.50)
-	s.P99 = rank(0.99)
-	s.Max = sorted[len(sorted)-1]
-	var sum time.Duration
-	for _, d := range sorted {
-		sum += d
-	}
-	s.Mean = sum / time.Duration(len(sorted))
-	return s
 }

@@ -152,27 +152,6 @@ func TestRemovePreservesOrderAndSlots(t *testing.T) {
 	}
 }
 
-func TestLatencies(t *testing.T) {
-	if s := Latencies(nil); s.Count != 0 || s.P99 != 0 {
-		t.Fatalf("empty sample stats = %+v", s)
-	}
-	samples := make([]time.Duration, 100)
-	for i := range samples {
-		samples[i] = time.Duration(100-i) * time.Millisecond // reversed: must sort
-	}
-	s := Latencies(samples)
-	if s.Count != 100 || s.P50 != 50*time.Millisecond || s.P99 != 99*time.Millisecond ||
-		s.Max != 100*time.Millisecond {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.Mean != 50500*time.Microsecond {
-		t.Fatalf("mean = %v", s.Mean)
-	}
-	if samples[0] != 100*time.Millisecond {
-		t.Fatal("Latencies mutated its input")
-	}
-}
-
 // TestPoolConcurrentSubmitRace is the -race workhorse: many submitters
 // against a live builder, with the pool far smaller than the workload so
 // every submitter exercises backpressure. Asserts conservation (every

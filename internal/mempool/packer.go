@@ -43,7 +43,7 @@ type Packer interface {
 }
 
 // FIFO packs blocks in pure arrival order — the baseline every chain
-// implements, and E13's control.
+// implements, and the control ConflictAware is measured against.
 type FIFO struct{}
 
 // Name implements Packer.
