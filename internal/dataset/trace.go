@@ -8,8 +8,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // The rwset trace format (E12). A trace is the declared-conflict view of a
@@ -147,13 +151,18 @@ func (h TraceHeader) validate() error {
 }
 
 // badString reports the first reason s is unusable as a key or sender:
-// empty, too long, a reserved ':' (keys only), or control characters.
+// empty, too long, invalid UTF-8 (JSON would re-encode it as U+FFFD, so the
+// two encodings would disagree), a reserved ':' (keys only), or control
+// characters.
 func badString(s string, reserveColon bool) string {
 	if s == "" {
 		return "empty"
 	}
 	if len(s) > 256 {
 		return "longer than 256 bytes"
+	}
+	if !utf8.ValidString(s) {
+		return "not valid UTF-8"
 	}
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -331,6 +340,61 @@ func decodeJSONLine(line []byte, v any) error {
 	return nil
 }
 
+// The exact JSON field names of the trace records. encoding/json matches
+// keys case-insensitively and ignores unknown ones, so the trace decoder
+// checks names itself: "formAt" is not a header field, and a row carrying
+// both "sender" and "Sender" is malformed rather than silently read as
+// the latter.
+var (
+	headerFields = jsonFieldNames(TraceHeader{})
+	rowFields    = jsonFieldNames(TraceTx{})
+	opFields     = jsonFieldNames(TraceOp{})
+)
+
+func jsonFieldNames(v any) []string {
+	t := reflect.TypeOf(v)
+	names := make([]string, t.NumField())
+	for i := range names {
+		names[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
+	}
+	return names
+}
+
+// checkFieldNames rejects any key of obj that is not exactly one of names.
+func checkFieldNames(obj map[string]json.RawMessage, names []string) error {
+	for _, k := range slices.Sorted(maps.Keys(obj)) {
+		if !slices.Contains(names, k) {
+			return fmt.Errorf("unknown field %q (want one of %s)", k, strings.Join(names, ", "))
+		}
+	}
+	return nil
+}
+
+// decodeTraceLine is decodeJSONLine for a trace header or row: the line
+// must be one JSON object whose keys, and each op's keys, are exact field
+// names.
+func decodeTraceLine(line []byte, v any, fields []string) error {
+	var obj map[string]json.RawMessage
+	if err := decodeJSONLine(line, &obj); err != nil {
+		return err
+	}
+	if err := checkFieldNames(obj, fields); err != nil {
+		return err
+	}
+	if raw, ok := obj["ops"]; ok {
+		var ops []map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &ops); err != nil {
+			return err
+		}
+		for i, op := range ops {
+			if err := checkFieldNames(op, opFields); err != nil {
+				return fmt.Errorf("op %d: %w", i, err)
+			}
+		}
+	}
+	return json.Unmarshal(line, v)
+}
+
 // TraceReader streams a JSONL trace: the header is read and validated by
 // NewTraceReader, rows by successive Next calls. Row errors carry the
 // 1-based line number; ordering violations are detected as they stream.
@@ -353,7 +417,7 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 		return nil, fmt.Errorf("%w: line %d: %w", ErrBadRecord, n, err)
 	}
 	var h TraceHeader
-	if err := decodeJSONLine(line, &h); err != nil {
+	if err := decodeTraceLine(line, &h, headerFields); err != nil {
 		return nil, fmt.Errorf("%w: header line %d: %w", ErrTraceFormat, n, err)
 	}
 	if err := h.validate(); err != nil {
@@ -372,8 +436,11 @@ func (tr *TraceReader) Next() (*TraceTx, error) {
 		return nil, fmt.Errorf("%w: line %d: %w", ErrBadRecord, n, err)
 	}
 	var tx TraceTx
-	if err := decodeJSONLine(line, &tx); err != nil {
+	if err := decodeTraceLine(line, &tx, rowFields); err != nil {
 		return nil, fmt.Errorf("%w: line %d: %w", ErrBadRecord, n, err)
+	}
+	if len(tx.Ops) == 0 {
+		tx.Ops = nil // "ops":[] is the same row as an absent "ops"
 	}
 	if err := tx.validate(); err != nil {
 		return nil, fmt.Errorf("%w: line %d: %w", ErrBadRecord, n, err)

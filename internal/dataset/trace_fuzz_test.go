@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"reflect"
 	"testing"
@@ -30,6 +31,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if tr, err := ReadTrace(bytes.NewReader(data)); err == nil {
+			requireExactKeys(t, data)
 			roundTripBoth(t, tr)
 		}
 		if tr, err := ReadTraceCSV(bytes.NewReader(data)); err == nil {
@@ -64,6 +66,50 @@ func roundTripBoth(t *testing.T, tr *Trace) {
 	}
 	if !reflect.DeepEqual(tr, back) {
 		t.Fatal("CSV round trip changed the trace")
+	}
+}
+
+// requireExactKeys: every key of an accepted JSONL trace names a field
+// exactly. encoding/json matches names case-insensitively, so a decoder
+// that leans on it accepts "formAt" as the format, and reads a row holding
+// both "sender" and "Sender" as the latter.
+func requireExactKeys(t *testing.T, data []byte) {
+	t.Helper()
+	header := map[string]bool{"format": true, "version": true, "source": true}
+	row := map[string]bool{"block": true, "index": true, "sender": true, "ops": true, "cost": true}
+	op := map[string]bool{"op": true, "key": true, "value": true}
+	check := func(obj map[string]json.RawMessage, allowed map[string]bool) {
+		t.Helper()
+		for k := range obj {
+			if !allowed[k] {
+				t.Fatalf("accepted trace has key %q", k)
+			}
+		}
+	}
+	first := true
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		if line = bytes.TrimSpace(line); len(line) == 0 {
+			continue
+		}
+		var obj map[string]json.RawMessage
+		if err := json.Unmarshal(line, &obj); err != nil {
+			t.Fatalf("accepted trace line %q is not an object: %v", line, err)
+		}
+		if first {
+			check(obj, header)
+			first = false
+			continue
+		}
+		check(obj, row)
+		var ops []map[string]json.RawMessage
+		if raw, ok := obj["ops"]; ok {
+			if err := json.Unmarshal(raw, &ops); err != nil {
+				t.Fatalf("accepted trace ops %q: %v", raw, err)
+			}
+		}
+		for _, o := range ops {
+			check(o, op)
+		}
 	}
 }
 

@@ -93,6 +93,9 @@ func TestTraceRejects(t *testing.T) {
 		"version skew":               `{"format":"txconcur-rwset","version":2}` + "\n",
 		"null header":                "null\n",
 		"trailing garbage on header": `{"format":"txconcur-rwset","version":1} {"x":1}` + "\n",
+		"case-folded header key":     `{"formAt":"txconcur-rwset","version":1}` + "\n",
+		"upper-case version":         `{"format":"txconcur-rwset","VERSION":1}` + "\n",
+		"unknown header key":         `{"format":"txconcur-rwset","version":1,"extra":0}` + "\n",
 	}
 	for name, in := range headerCases {
 		if _, err := ReadTrace(strings.NewReader(in)); !errors.Is(err, ErrTraceFormat) {
@@ -108,14 +111,17 @@ func TestTraceRejects(t *testing.T) {
 		"block goes backwards": header +
 			`{"block":5,"index":0,"sender":"a","ops":[{"op":"d","key":"k","value":1}]}` + "\n" +
 			`{"block":4,"index":0,"sender":"a","ops":[{"op":"d","key":"k","value":1}]}` + "\n",
-		"unknown op kind":      header + `{"block":0,"index":0,"sender":"a","ops":[{"op":"x","key":"k"}]}` + "\n",
-		"empty key":            header + `{"block":0,"index":0,"sender":"a","ops":[{"op":"r","key":""}]}` + "\n",
-		"colon in key":         header + `{"block":0,"index":0,"sender":"a","ops":[{"op":"r","key":"a:b"}]}` + "\n",
-		"empty sender":         header + `{"block":0,"index":0,"sender":"","ops":[{"op":"r","key":"k"}]}` + "\n",
-		"read with value":      header + `{"block":0,"index":0,"sender":"a","ops":[{"op":"r","key":"k","value":1}]}` + "\n",
-		"zero delta":           header + `{"block":0,"index":0,"sender":"a","ops":[{"op":"d","key":"k"}]}` + "\n",
-		"duplicate (kind,key)": header + `{"block":0,"index":0,"sender":"a","ops":[{"op":"r","key":"k"},{"op":"r","key":"k"}]}` + "\n",
-		"delta plus write":     header + `{"block":0,"index":0,"sender":"a","ops":[{"op":"d","key":"k","value":1},{"op":"w","key":"k","value":2}]}` + "\n",
+		"unknown op kind":              header + `{"block":0,"index":0,"sender":"a","ops":[{"op":"x","key":"k"}]}` + "\n",
+		"empty key":                    header + `{"block":0,"index":0,"sender":"a","ops":[{"op":"r","key":""}]}` + "\n",
+		"colon in key":                 header + `{"block":0,"index":0,"sender":"a","ops":[{"op":"r","key":"a:b"}]}` + "\n",
+		"empty sender":                 header + `{"block":0,"index":0,"sender":"","ops":[{"op":"r","key":"k"}]}` + "\n",
+		"read with value":              header + `{"block":0,"index":0,"sender":"a","ops":[{"op":"r","key":"k","value":1}]}` + "\n",
+		"zero delta":                   header + `{"block":0,"index":0,"sender":"a","ops":[{"op":"d","key":"k"}]}` + "\n",
+		"duplicate (kind,key)":         header + `{"block":0,"index":0,"sender":"a","ops":[{"op":"r","key":"k"},{"op":"r","key":"k"}]}` + "\n",
+		"delta plus write":             header + `{"block":0,"index":0,"sender":"a","ops":[{"op":"d","key":"k","value":1},{"op":"w","key":"k","value":2}]}` + "\n",
+		"case-folded duplicate sender": header + `{"block":0,"index":0,"sender":"a","Sender":"b","ops":[{"op":"r","key":"k"}]}` + "\n",
+		"upper-case op key":            header + `{"block":0,"index":0,"sender":"a","ops":[{"OP":"r","key":"k"}]}` + "\n",
+		"unknown row key":              header + `{"block":0,"index":0,"sender":"a","gas":1,"ops":[{"op":"r","key":"k"}]}` + "\n",
 	}
 	for name, in := range rowCases {
 		if _, err := ReadTrace(strings.NewReader(in)); !errors.Is(err, ErrBadRecord) {

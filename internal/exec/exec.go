@@ -241,7 +241,7 @@ func (e Speculative) Execute(st *account.StateDB, blk *account.Block) (*Result, 
 	// winner's write. Each binned transaction's writes are logged (delta
 	// writes included: a winner that *read* a delta-written balance is
 	// stale); phase2MinWriter[k] is the smallest binned index that wrote k.
-	acc := newOverlayOp(st, e.OpLevel)
+	acc := newAccumulator(st, e.OpLevel, accKeysPerTx*x)
 	receipts := make([]*account.Receipt, x)
 	phase2MinWriter := make(map[StateKey]int)
 	logWriter := func(k StateKey, i int) {
@@ -261,12 +261,10 @@ func (e Speculative) Execute(st *account.StateDB, blk *account.Block) (*Result, 
 			return nil, fmt.Errorf("exec: speculative phase 2, tx %d: %w", i, err)
 		}
 		receipts[i] = rcpt
-		//txlint:ordered logWriter keeps the first-writer minimum per key with i fixed for the loop; per-key first-win with an invariant value commutes
-		for k := range o.writes {
+		for k := range o.writes() {
 			logWriter(k, i)
 		}
-		//txlint:ordered same per-key first-win as above; deltaKey maps distinct addresses to distinct keys
-		for a := range o.deltas {
+		for a := range o.deltas() {
 			logWriter(deltaKey(a), i)
 		}
 		o.applyTo(acc)
@@ -284,15 +282,13 @@ func (e Speculative) Execute(st *account.StateDB, blk *account.Block) (*Result, 
 			if binned[i] {
 				continue
 			}
-			//txlint:ordered only effect is the constant valid=false before the labeled break; skipped iterations could only re-set the same constant
-			for k := range o.writes {
+			for k := range o.writes() {
 				if j, ok := phase2MinWriter[k]; ok && j < i {
 					valid = false
 					break validate
 				}
 			}
-			//txlint:ordered same single-constant-flag scan as the writes loop above
-			for k := range o.reads {
+			for k := range o.reads() {
 				if j, ok := phase2MinWriter[k]; ok && j < i {
 					valid = false
 					break validate
@@ -316,6 +312,7 @@ func (e Speculative) Execute(st *account.StateDB, blk *account.Block) (*Result, 
 			retried++
 		}
 	}
+	acc.release()
 	finalizeBlock(st, blk, receipts)
 
 	var gasBin uint64
@@ -513,8 +510,7 @@ func anyOverlap(overlays []*overlay, errs []error) bool {
 		if o == nil {
 			continue
 		}
-		//txlint:ordered writer is a local first-win index with w fixed per loop; an early return true discards it unobserved
-		for k := range o.writes {
+		for k := range o.writes() {
 			if prev, ok := writer[k]; ok && prev != w {
 				return true
 			}
@@ -528,8 +524,7 @@ func anyOverlap(overlays []*overlay, errs []error) bool {
 		if o == nil {
 			continue
 		}
-		//txlint:ordered deltaOwner updates commute per key and the map dies with the function on the early return
-		for a := range o.deltas {
+		for a := range o.deltas() {
 			k := deltaKey(a)
 			if fw, ok := writer[k]; ok && fw != w {
 				return true
@@ -545,7 +540,7 @@ func anyOverlap(overlays []*overlay, errs []error) bool {
 		if o == nil {
 			continue
 		}
-		for k := range o.reads {
+		for k := range o.reads() {
 			if fw, ok := writer[k]; ok && fw != w {
 				return true
 			}

@@ -80,7 +80,7 @@ func (e PerfectSpeculative) Execute(st *account.StateDB, blk *account.Block) (*R
 		if conflicted[i] {
 			return
 		}
-		o := newOverlay(st)
+		o := newOverlayOp(st, false)
 		rcpt, err := procDeferred.ApplyTransaction(o, blk, blk.Txs[i])
 		errs[i] = err
 		overlays[i] = o

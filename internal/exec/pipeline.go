@@ -186,26 +186,13 @@ func foldResolvedInto(st *account.StateDB) func(k StateKey, v stateVal, anchored
 }
 
 // overlayWrites converts an overlay's buffered values into the
-// multi-version store's write-set representation: absolute values as Put
-// versions, accumulated balance deltas as DeltaAdd versions that merge with
-// — rather than supersede — the chain below them.
+// multi-version store's write-set representation (see ovEntry.mvWrite).
 func overlayWrites(o *overlay) map[StateKey]mvstore.Write[stateVal] {
-	w := make(map[StateKey]mvstore.Write[stateVal],
-		len(o.balances)+len(o.deltas)+len(o.nonces)+len(o.codes)+len(o.storage))
-	for a, v := range o.balances {
-		w[StateKey{Kind: kindBalance, Addr: a}] = mvstore.Write[stateVal]{Kind: mvstore.Put, Val: stateVal{i64: v}}
-	}
-	for a, d := range o.deltas {
-		w[StateKey{Kind: kindBalance, Addr: a}] = mvstore.Write[stateVal]{Kind: mvstore.DeltaAdd, Val: stateVal{i64: d}}
-	}
-	for a, n := range o.nonces {
-		w[StateKey{Kind: kindNonce, Addr: a}] = mvstore.Write[stateVal]{Kind: mvstore.Put, Val: stateVal{u64: n}}
-	}
-	for a, c := range o.codes {
-		w[StateKey{Kind: kindCode, Addr: a}] = mvstore.Write[stateVal]{Kind: mvstore.Put, Val: stateVal{bytes: c}}
-	}
-	for sk, v := range o.storage {
-		w[StateKey{Kind: kindStorage, Addr: sk.Addr, Slot: sk.Slot}] = mvstore.Write[stateVal]{Kind: mvstore.Put, Val: stateVal{u64: v}}
+	w := make(map[StateKey]mvstore.Write[stateVal], len(o.entries))
+	for i := range o.entries {
+		if v, ok := o.entries[i].mvWrite(); ok {
+			w[o.entries[i].key] = v
+		}
 	}
 	return w
 }
@@ -326,16 +313,16 @@ func (e Pipeline) ExecuteChain(st *account.StateDB, blocks []*account.Block) (*C
 
 		// acc accumulates the block's true (sequential-prefix) writes over
 		// the committed state as of the previous block.
-		acc := newOverlayOp(&snapState{base: st, snap: mv.At(commitTS - 1)}, e.OpLevel)
+		acc := newAccumulator(&snapState{base: st, snap: mv.At(commitTS - 1)}, e.OpLevel, accKeysPerTx*x)
 		// blockWrites holds every key written so far by this block —
 		// absolute writes and deltas alike, since a later transaction that
 		// *read* the key missed either kind in its snapshot.
 		blockWrites := make(map[StateKey]struct{})
 		logWrites := func(o *overlay) {
-			for k := range o.writes {
+			for k := range o.writes() {
 				blockWrites[k] = struct{}{}
 			}
-			for a := range o.deltas {
+			for a := range o.deltas() {
 				blockWrites[deltaKey(a)] = struct{}{}
 			}
 		}
@@ -350,8 +337,7 @@ func (e Pipeline) ExecuteChain(st *account.StateDB, blocks []*account.Block) (*C
 			o := sb.overlays[i]
 			ok := !sb.failed[i]
 			if ok {
-				//txlint:ordered read-only staleness probe; sole effect is the constant ok=false set immediately before break
-				for k := range o.reads {
+				for k := range o.reads() {
 					if _, hit := blockWrites[k]; hit {
 						ok = false
 						break
@@ -397,6 +383,7 @@ func (e Pipeline) ExecuteChain(st *account.StateDB, blocks []*account.Block) (*C
 			abort()
 			return nil, fmt.Errorf("exec: pipeline block %d: %w", blk.Height, err)
 		}
+		acc.release()
 		sb.snap.Release()
 		// Epoch GC: reclaim versions no live snapshot can observe. In
 		// fixed-lag mode the horizon must stop at the oldest timestamp a

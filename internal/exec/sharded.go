@@ -232,20 +232,17 @@ func (e Sharded) Execute(st *account.StateDB, blk *account.Block) (*Result, erro
 // touchesForeign reports whether the overlay's access set leaves the home
 // shard under the block's shard map.
 func touchesForeign(o *overlay, home int, m core.ShardMap) bool {
-	//txlint:ordered m.Shard is a pure function of the address; the scan returns a constant on the first foreign hit, so any visit order agrees
-	for k := range o.reads {
+	for k := range o.reads() {
 		if m.Shard(k.Addr) != home {
 			return true
 		}
 	}
-	//txlint:ordered same pure-predicate constant-return scan as the reads loop
-	for k := range o.writes {
+	for k := range o.writes() {
 		if m.Shard(k.Addr) != home {
 			return true
 		}
 	}
-	//txlint:ordered same pure-predicate constant-return scan over delta addresses
-	for a := range o.deltas {
+	for a := range o.deltas() {
 		if m.Shard(a) != home {
 			return true
 		}
@@ -358,27 +355,14 @@ type shardedOutcome struct {
 // suffix when the merge detected an ordering overlap. stale, when non-nil,
 // reports keys whose committed value postdates the phase-1 snapshot
 // (ExecuteChain's cross-block staleness); phase-1 results reading such keys
-// are demoted to failures and re-execute on the true prefix.
+// are demoted to failures and re-execute on the true prefix. Each shard's
+// phase-2a goroutine probes its own transactions, so stale must be safe
+// for concurrent calls.
 func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *account.Block,
 	sp *shardedSpec, m core.ShardMap, wps int) (*shardedOutcome, error) {
 	x := len(blk.Txs)
 	shards := m.Shards()
 	overlays, failed, p1rcpt := sp.overlays, sp.failed, sp.p1rcpt
-
-	if stale != nil {
-		for i, o := range overlays {
-			if failed[i] {
-				continue
-			}
-			//txlint:ordered stale() only reads; sole effect is the constant failed[i] set immediately before break
-			for k := range o.reads {
-				if stale(k) {
-					failed[i] = true
-					break
-				}
-			}
-		}
-	}
 
 	// Classification. A transaction whose phase-1 access set leaves its
 	// home shard joins the cross-shard set. Then, to fixpoint: an intra
@@ -397,12 +381,10 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 	// and the scan repeats until a full pass reclassifies nothing.
 	p1cw := crossWriteIndex{abs: make(map[StateKey]int), delta: make(map[StateKey]int)}
 	addCrossWrites := func(i int, o *overlay) {
-		//txlint:ordered noteMinIdx keeps the per-key minimum with i fixed for the loop; min-reduction commutes
-		for k := range o.writes {
+		for k := range o.writes() {
 			noteMinIdx(p1cw.abs, k, i)
 		}
-		//txlint:ordered same per-key min-reduction via deltaKey
-		for a := range o.deltas {
+		for a := range o.deltas() {
 			noteMinIdx(p1cw.delta, deltaKey(a), i)
 		}
 	}
@@ -412,7 +394,7 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 		}
 	}
 	orderedAfterCross := func(i int, o *overlay) bool {
-		for k := range o.reads {
+		for k := range o.reads() {
 			if j, ok := p1cw.abs[k]; ok && j < i {
 				return true
 			}
@@ -420,7 +402,7 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 				return true
 			}
 		}
-		for k := range o.writes {
+		for k := range o.writes() {
 			if j, ok := p1cw.abs[k]; ok && j < i {
 				return true
 			}
@@ -428,7 +410,7 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 				return true
 			}
 		}
-		for a := range o.deltas {
+		for a := range o.deltas() {
 			// Delta–delta commutes across the intra/cross boundary; only
 			// an earlier cross *absolute* write forces ordering.
 			if j, ok := p1cw.abs[deltaKey(a)]; ok && j < i {
@@ -475,6 +457,22 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 	parallelFor(shards, shards, func(sh int) {
 		out := &outcomes[sh]
 		out.staleMin = -1
+		// Cross-block staleness of the shard's phase-1 results, intra and
+		// cross alike (phase 2b reads failed[] only after every shard is
+		// done).
+		if stale != nil {
+			for _, i := range sp.byShard[sh] {
+				if failed[i] {
+					continue
+				}
+				for k := range overlays[i].reads() {
+					if stale(k) {
+						failed[i] = true
+						break
+					}
+				}
+			}
+		}
 		// Shard-local conflict detection over the intra candidates.
 		intra := make([]*overlay, 0, len(sp.byShard[sh]))
 		for _, i := range sp.byShard[sh] {
@@ -483,19 +481,19 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 			}
 		}
 		ac := countAccesses(intra)
-		acc := newOverlayOp(base, e.OpLevel)
+		acc := newAccumulator(base, e.OpLevel, accKeysPerTx*len(intra))
 		out.acc = acc
 		// p2min[k] is the smallest binned index that wrote k during this
 		// shard's re-executions — the winner-staleness probe of the
 		// speculative scheme, applied per shard.
 		p2min := make(map[StateKey]int)
 		logW := func(o *overlay, i int) {
-			for k := range o.writes {
+			for k := range o.writes() {
 				if _, seen := p2min[k]; !seen {
 					p2min[k] = i
 				}
 			}
-			for a := range o.deltas {
+			for a := range o.deltas() {
 				k := deltaKey(a)
 				if _, seen := p2min[k]; !seen {
 					p2min[k] = i
@@ -538,12 +536,12 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 				}
 				o := overlays[i]
 				isStale := false
-				for k := range o.reads {
+				for k := range o.reads() {
 					if j, ok := p2min[k]; ok && j < i {
 						isStale = true
 					}
 				}
-				for k := range o.writes {
+				for k := range o.writes() {
 					if j, ok := p2min[k]; ok && j < i {
 						isStale = true
 					}
@@ -584,16 +582,14 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 		if f == nil {
 			continue
 		}
-		for k := range f.reads {
+		for k := range f.reads() {
 			intraReads[k] = append(intraReads[k], i)
 		}
-		//txlint:ordered per-key min and ascending-position append with i fixed; distinct keys, commuting updates
-		for k := range f.writes {
+		for k := range f.writes() {
 			noteMinIdx(minIntraWrite, k, i)
 			intraAbs[k] = append(intraAbs[k], i)
 		}
-		//txlint:ordered same commuting per-key min and append via deltaKey
-		for a := range f.deltas {
+		for a := range f.deltas() {
 			k := deltaKey(a)
 			noteMinIdx(minIntraWrite, k, i)
 			intraDeltas[k] = append(intraDeltas[k], i)
@@ -622,7 +618,6 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 	for sh := range merged.views {
 		merged.views[sh] = outcomes[sh].acc.reader()
 	}
-	accX := newOverlayOp(merged, e.OpLevel)
 	cw := crossWriteIndex{abs: make(map[StateKey]int), delta: make(map[StateKey]int)}
 	crossIdx := make([]int, 0, x)
 	for j := 0; j < x; j++ {
@@ -631,6 +626,7 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 		}
 	}
 	crossN := len(crossIdx)
+	accX := newAccumulator(merged, e.OpLevel, accKeysPerTx*crossN)
 	ss := &ShardStats{
 		Shards: shards, Cross: crossN, Intra: x - crossN,
 		PerShardTxs: make([]int, shards),
@@ -672,20 +668,17 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 			}
 			return false
 		}
-		//txlint:ordered collects a deduplicated set of hot addresses; consumers only test membership, never order
-		for k := range o.reads {
+		for k := range o.reads() {
 			if hs.ConflictHot(k.Addr) && !seen(k.Addr) {
 				out = append(out, k.Addr)
 			}
 		}
-		//txlint:ordered same membership-set collection as the reads loop
-		for k := range o.writes {
+		for k := range o.writes() {
 			if hs.ConflictHot(k.Addr) && !seen(k.Addr) {
 				out = append(out, k.Addr)
 			}
 		}
-		//txlint:ordered same membership-set collection over delta addresses
-		for a := range o.deltas {
+		for a := range o.deltas() {
 			if hs.ConflictHot(a) && !seen(a) {
 				out = append(out, a)
 			}
@@ -703,7 +696,7 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 			return false
 		}
 		o := overlays[j]
-		for k := range o.reads {
+		for k := range o.reads() {
 			if i, ok := minIntraWrite[k]; ok && i < j {
 				return false
 			}
@@ -731,15 +724,13 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 		}
 	}
 	commitCross := func(j int, f *overlay) {
-		//txlint:ordered noteMinIdx and bumpAffected are per-key min-reductions of the repair bound; they commute
-		for k := range f.writes {
+		for k := range f.writes() {
 			noteMinIdx(cw.abs, k, j)
 			bumpAffected(j, intraReads[k])
 			bumpAffected(j, intraAbs[k])
 			bumpAffected(j, intraDeltas[k])
 		}
-		//txlint:ordered same commuting min-reductions via deltaKey
-		for a := range f.deltas {
+		for a := range f.deltas() {
 			k := deltaKey(a)
 			noteMinIdx(cw.delta, k, j)
 			bumpAffected(j, intraReads[k])
@@ -761,7 +752,7 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 	paccPos := 0
 	exactReexec := func(j int) (*overlay, *account.Receipt, error) {
 		if pacc == nil {
-			pacc = newOverlayOp(base, e.OpLevel)
+			pacc = newAccumulator(base, e.OpLevel, accKeysPerTx*x)
 		}
 		for ; paccPos < j; paccPos++ {
 			if f := final[paccPos]; f != nil {
@@ -819,14 +810,9 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 			o := overlays[j]
 			for _, g := range group {
 				go_ := overlays[g]
-				for k := range o.reads {
-					if _, w := go_.writes[k]; w {
+				for k := range o.reads() {
+					if go_.hasWrite(k) || (k.Kind == kindBalance && go_.hasDelta(k.Addr)) {
 						hit = true
-					}
-					if k.Kind == kindBalance {
-						if _, d := go_.deltas[k.Addr]; d {
-							hit = true
-						}
 					}
 				}
 				if hit {
@@ -873,13 +859,13 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 		waveW := make(map[StateKey]struct{})
 		waveR := make(map[StateKey]struct{})
 		noteWave := func(o *overlay) {
-			for k := range o.writes {
+			for k := range o.writes() {
 				waveW[k] = struct{}{}
 			}
-			for a := range o.deltas {
+			for a := range o.deltas() {
 				waveW[deltaKey(a)] = struct{}{}
 			}
-			for k := range o.reads {
+			for k := range o.reads() {
 				waveR[k] = struct{}{}
 			}
 		}
@@ -917,14 +903,14 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 			}
 			o := overlays[jn]
 			indep := true
-			for k := range o.reads {
+			for k := range o.reads() {
 				if _, w := waveW[k]; w {
 					indep = false
 					break
 				}
 			}
 			if indep {
-				for k := range o.writes {
+				for k := range o.writes() {
 					_, w := waveW[k]
 					_, r := waveR[k]
 					if w || r {
@@ -934,8 +920,7 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 				}
 			}
 			if indep {
-				//txlint:ordered membership probes only; sole effect is the constant indep=false set immediately before break
-				for a := range o.deltas {
+				for a := range o.deltas() {
 					k := deltaKey(a)
 					// Delta–delta commutes; a delta against a wave
 					// member's read or absolute write does not.
@@ -978,10 +963,10 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 		// pre-wave prefix) re-executes sequentially at its commit point.
 		committed := make(map[StateKey]struct{})
 		noteCommitted := func(f *overlay) {
-			for k := range f.writes {
+			for k := range f.writes() {
 				committed[k] = struct{}{}
 			}
-			for a := range f.deltas {
+			for a := range f.deltas() {
 				committed[deltaKey(a)] = struct{}{}
 			}
 		}
@@ -993,7 +978,7 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 			redone := false
 			ok := wErr[w] == nil
 			if ok {
-				for k := range f.reads {
+				for k := range f.reads() {
 					if _, hit := committed[k]; hit {
 						ok = false
 						break
@@ -1004,8 +989,7 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 				// The merged view folds *whole* sub-blocks; the wave run is
 				// prefix-correct only if nothing it read was written by an
 				// intra transaction ordered after it.
-				//txlint:ordered lastOf reads fixed per-key lists; sole effect is the constant ok=false set immediately before break
-				for k := range f.reads {
+				for k := range f.reads() {
 					if lastOf(intraAbs[k]) > jw || lastOf(intraDeltas[k]) > jw {
 						ok = false
 						break
@@ -1059,7 +1043,7 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 	// transaction re-executes against the accumulator, which at its turn
 	// holds exactly the sequential prefix — so the repair is authoritative,
 	// and an envelope failure here means the block itself is invalid.
-	acc := newOverlayOp(base, e.OpLevel)
+	acc := newAccumulator(base, e.OpLevel, accKeysPerTx*x)
 	for i := 0; i < x; i++ {
 		if i < repairFrom && final[i] != nil {
 			final[i].applyTo(acc)
@@ -1159,6 +1143,16 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 			out.conflicted++
 		}
 	}
+	// Every overlay that reads through the shard, cross and prefix
+	// accumulators is dead by now; the composition accumulator lives on in
+	// out.acc until the caller has committed it.
+	for sh := range outcomes {
+		outcomes[sh].acc.release()
+	}
+	accX.release()
+	if pacc != nil {
+		pacc.release()
+	}
 	return out, nil
 }
 
@@ -1166,13 +1160,13 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 // access set, in deterministic (byte) order.
 func touchedAddrs(o *overlay) []types.Address {
 	set := make(map[types.Address]struct{})
-	for k := range o.reads {
+	for k := range o.reads() {
 		set[k.Addr] = struct{}{}
 	}
-	for k := range o.writes {
+	for k := range o.writes() {
 		set[k.Addr] = struct{}{}
 	}
-	for a := range o.deltas {
+	for a := range o.deltas() {
 		set[a] = struct{}{}
 	}
 	addrs := make([]types.Address, 0, len(set))
@@ -1219,7 +1213,7 @@ func waveAbsWrite(waveW map[StateKey]struct{}, wave []int, overlays []*overlay, 
 		return false
 	}
 	for _, j := range wave {
-		if _, w := overlays[j].writes[k]; w {
+		if overlays[j].hasWrite(k) {
 			return true
 		}
 	}
@@ -1248,6 +1242,7 @@ func (e Sharded) ExecuteSharded(st *account.StateDB, blk *account.Block) (*Resul
 		return nil, nil, err
 	}
 	out.acc.applyTo(st)
+	out.acc.release()
 	finalizeBlock(st, blk, out.receipts)
 	if am, ok := m.(core.AdaptiveShardMap); ok && out.obs != nil {
 		am.ObserveBlock(*out.obs)

@@ -1,11 +1,13 @@
 package exec
 
 import (
+	"sync"
 	"testing"
 
 	"txconcur/internal/account"
 	"txconcur/internal/chainsim"
 	"txconcur/internal/core"
+	"txconcur/internal/exec/testutil"
 	"txconcur/internal/types"
 )
 
@@ -349,5 +351,99 @@ func TestShardedSpeedupBoundedByWorkers(t *testing.T) {
 	}
 	if res.Stats.GasSpeedup > 2+1e-9 {
 		t.Fatalf("gas speed-up %.2f exceeds the 2-worker budget", res.Stats.GasSpeedup)
+	}
+}
+
+// TestShardedAccumulatorPoolConcurrent: block accumulators are pooled and
+// released at fixed points, so concurrent engines recycle each other's
+// accumulators. Four goroutines run ExecuteChain, ExecuteChainStream and
+// ExecuteSharded at once over Shard Uniform, Shard Skew and Shard
+// Cross-Heavy (whose merge repairs exercise the prefix accumulator); every
+// root and receipt must match Sequential, and an accumulator drawn from
+// the pool afterwards must hold no entries and no index keys.
+func TestShardedAccumulatorPoolConcurrent(t *testing.T) {
+	type fixture struct {
+		name   string
+		pre    *account.StateDB
+		blocks []*account.Block
+		seq    *testutil.Chain
+	}
+	var fixtures []fixture
+	for _, p := range []chainsim.Profile{chainsim.ShardUniformProfile(), chainsim.ShardSkewProfile(), chainsim.ShardCrossHeavyProfile()} {
+		pre, blocks, err := chainsim.GenerateAccountChain(p, 4, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixtures = append(fixtures, fixture{p.Name, pre, blocks, testutil.ReplaySequential(t, pre, blocks)})
+	}
+	perBlock := func(e Sharded, pre *account.StateDB, blocks []*account.Block) (*ChainResult, error) {
+		work := pre.Copy()
+		cr := &ChainResult{}
+		for _, blk := range blocks {
+			res, _, err := e.ExecuteSharded(work, blk)
+			if err != nil {
+				return nil, err
+			}
+			cr.Receipts = append(cr.Receipts, res.Receipts)
+			cr.Root = res.Root
+		}
+		return cr, nil
+	}
+	runners := []struct {
+		name string
+		run  func(f fixture) (*ChainResult, error)
+	}{
+		{"chain/key", func(f fixture) (*ChainResult, error) {
+			cr, _, err := Sharded{Workers: 4, Shards: 4, Depth: 2}.ExecuteChain(f.pre.Copy(), f.blocks)
+			return cr, err
+		}},
+		{"stream/op", func(f fixture) (*ChainResult, error) {
+			cr, _, err := Sharded{Workers: 4, Shards: 4, OpLevel: true}.ExecuteChainStream(f.pre.Copy(), feed(f.blocks), nil)
+			return cr, err
+		}},
+		{"per-block/op", func(f fixture) (*ChainResult, error) {
+			return perBlock(Sharded{Workers: 4, Shards: 2, OpLevel: true}, f.pre, f.blocks)
+		}},
+		{"per-block/key", func(f fixture) (*ChainResult, error) {
+			return perBlock(Sharded{Workers: 2, Shards: 3}, f.pre, f.blocks)
+		}},
+	}
+	results := make([][]*ChainResult, len(runners))
+	errs := make([]error, len(runners))
+	var wg sync.WaitGroup
+	for r := range runners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, f := range fixtures {
+				cr, err := runners[r].run(f)
+				if err != nil {
+					errs[r] = err
+					return
+				}
+				results[r] = append(results[r], cr)
+			}
+		}()
+	}
+	wg.Wait()
+	for r := range runners {
+		if errs[r] != nil {
+			t.Fatalf("%s: %v", runners[r].name, errs[r])
+		}
+		for i, f := range fixtures {
+			f.seq.RequireChain(t, runners[r].name+" "+f.name, results[r][i].Root, results[r][i].Receipts)
+		}
+	}
+
+	var drawn []*overlay
+	for i := 0; i < 8; i++ {
+		acc := newAccumulator(nil, false, 0)
+		if len(acc.entries) != 0 || len(acc.index) != 0 || acc.base != nil {
+			t.Fatalf("pooled accumulator %d holds %d entries, %d index keys", i, len(acc.entries), len(acc.index))
+		}
+		drawn = append(drawn, acc)
+	}
+	for _, acc := range drawn {
+		acc.release()
 	}
 }

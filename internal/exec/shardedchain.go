@@ -414,12 +414,15 @@ func (e Sharded) runShardedEpoch(c *shardedChain, src epochSource,
 		out.acc.AddBalance(blk.Coinbase, account.BlockReward)
 		parts := make([]map[StateKey]mvstore.Write[stateVal], shards)
 		for sh := range parts {
-			parts[sh] = make(map[StateKey]mvstore.Write[stateVal])
+			parts[sh] = make(map[StateKey]mvstore.Write[stateVal], len(out.acc.entries)/shards+1)
 		}
-		//txlint:ordered distinct keys land in distinct entries of the per-shard partition maps; shardOfKey is a pure function of k
-		for k, w := range overlayWrites(out.acc) {
-			parts[shardOfKey(k)][k] = w
+		for i := range out.acc.entries {
+			if w, ok := out.acc.entries[i].mvWrite(); ok {
+				k := out.acc.entries[i].key
+				parts[shardOfKey(k)][k] = w
+			}
 		}
+		out.acc.release()
 		for sh := range mvs {
 			// Empty partitions still commit: every shard's clock advances
 			// in lockstep so fixed-lag pins stay valid on all shards.
