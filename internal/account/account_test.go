@@ -211,6 +211,18 @@ func TestEnvelopeErrors(t *testing.T) {
 	if _, err := p.ApplyTransaction(st, testBlock(badNonce), badNonce); !errors.Is(err, ErrNonce) {
 		t.Fatalf("bad nonce: %v", err)
 	}
+	// The message is the one the old fmt.Errorf("%w: …") built, and the
+	// failure path allocates at most the *NonceError itself.
+	_, err := p.ApplyTransaction(st, testBlock(badNonce), badNonce)
+	if want := "account: bad nonce: have 0, tx has 5 (from " + addr(1).Short() + ")"; err.Error() != want {
+		t.Fatalf("bad nonce message %q, want %q", err.Error(), want)
+	}
+	blk := testBlock(badNonce)
+	if allocs := testing.AllocsPerRun(100, func() {
+		_, _ = p.ApplyTransaction(st, blk, badNonce)
+	}); allocs > 1 {
+		t.Fatalf("bad nonce path: %.1f allocs, want ≤ 1", allocs)
+	}
 	lowGas := &Transaction{From: addr(1), To: addr(2), GasLimit: 100}
 	if _, err := p.ApplyTransaction(st, testBlock(lowGas), lowGas); !errors.Is(err, ErrIntrinsicGas) {
 		t.Fatalf("intrinsic: %v", err)

@@ -29,6 +29,22 @@ var (
 	ErrCodeOnCall        = errors.New("account: code payload on non-creation transaction")
 )
 
+// NonceError is the ErrNonce failure: the sender's account nonce is Have
+// but the transaction carries Want. The message is built only when Error
+// is called, so a speculative engine that hits stale nonces pays one small
+// allocation per failure, not a formatted string.
+type NonceError struct {
+	From       types.Address
+	Have, Want uint64
+}
+
+func (e *NonceError) Error() string {
+	return fmt.Sprintf("%s: have %d, tx has %d (from %s)", ErrNonce.Error(), e.Have, e.Want, e.From.Short())
+}
+
+// Unwrap returns ErrNonce, so errors.Is(err, ErrNonce) holds.
+func (e *NonceError) Unwrap() error { return ErrNonce }
+
 // State is the mutable world a Processor executes against. *StateDB is the
 // canonical implementation; the parallel execution engines substitute
 // recording overlays that track read/write sets.
@@ -64,7 +80,7 @@ var (
 // in Ethereum.
 func (p Processor) ApplyTransaction(st State, blk *Block, tx *Transaction) (*Receipt, error) {
 	if got := st.GetNonce(tx.From); got != tx.Nonce {
-		return nil, fmt.Errorf("%w: have %d, tx has %d (from %s)", ErrNonce, got, tx.Nonce, tx.From.Short())
+		return nil, &NonceError{From: tx.From, Have: got, Want: tx.Nonce}
 	}
 	if !tx.IsCreation() && len(tx.Code) > 0 {
 		return nil, fmt.Errorf("%w: to=%s", ErrCodeOnCall, tx.To.Short())

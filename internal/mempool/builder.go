@@ -23,11 +23,15 @@ type BuilderConfig struct {
 	BaseHeight    uint64
 	BaseTime      int64
 	BlockInterval int64
-	// Flush bounds how long an underfull block waits for more arrivals
-	// while the pool is open: once at least one transaction is pending and
-	// nothing new arrives for Flush, the partial block closes. Zero means
-	// wait for a full block or pool close — the deterministic setting the
-	// tests use.
+	// Flush is the close deadline of an underfull block while the pool is
+	// open: the block closes Flush after its oldest pending transaction
+	// was admitted, however steadily others keep arriving. The deadline
+	// never starts before the previous block closed, so a transaction
+	// deferred at the pool head cannot make every arrival close a block
+	// of its own: the builder emits at most one underfull block per Flush.
+	// A block still closes at once when full, when the pool reaches
+	// capacity, or when the pool closes. Zero means wait for a full block
+	// or pool close — the deterministic setting the tests use.
 	Flush time.Duration
 	// Log, if non-nil, is the write-ahead block log: every built block is
 	// appended (and made durable per the log's sync policy) before it is
@@ -129,9 +133,12 @@ func (b *Builder) Run(ctx context.Context, out chan<- BuiltBlock) (left []*Pendi
 		// still in the pool, so failPending covers them too.
 		b.pool.failPending(ferr)
 	}()
+	// lastClose floors the Flush deadline: the moment the previous block
+	// closed.
+	var lastClose time.Time
 	for {
-		pending, closed := b.pool.view()
-		if len(pending) == 0 {
+		n, oldest, closed := b.pool.head()
+		if n == 0 {
 			if closed {
 				return nil, nil
 			}
@@ -140,22 +147,22 @@ func (b *Builder) Run(ctx context.Context, out chan<- BuiltBlock) (left []*Pendi
 			}
 			continue
 		}
-		if len(pending) < b.cfg.Pack.MaxTxs && len(pending) < b.pool.Cap() && !closed {
-			// Underfull: wait for more arrivals, the pool closing, or —
-			// with Flush set — a lull long enough to close a partial
-			// block. A pool at capacity is packed immediately even if
-			// underfull — waiting would deadlock against submitters
-			// blocked on slots.
-			flushed, err := b.waitOrFlush(ctx)
-			if err != nil {
+		if n < b.cfg.Pack.MaxTxs && n < b.pool.Cap() && !closed {
+			// Underfull: wait for a full block, the pool closing, or the
+			// Flush deadline. A pool at capacity is packed immediately
+			// even if underfull — waiting would deadlock against
+			// submitters blocked on slots.
+			start := oldest
+			if start.Before(lastClose) {
+				start = lastClose
+			}
+			if err := b.waitOrFlush(ctx, start); err != nil {
 				return nil, err
 			}
-			if !flushed {
-				continue
-			}
-			// Flush lull: fall through and pack what is pending.
 		}
 
+		closeAt := b.pool.now()
+		pending, closed := b.pool.view()
 		bb, removed, packed := b.packOne(pending)
 		if len(removed) == 0 {
 			// Everything packable failed validation. If the pool is
@@ -169,6 +176,7 @@ func (b *Builder) Run(ctx context.Context, out chan<- BuiltBlock) (left []*Pendi
 			}
 			continue
 		}
+		lastClose = closeAt
 		// Persist, then ack, then release pool capacity: a durable
 		// submitter that sees nil is guaranteed its block survives any
 		// crash from here on.
@@ -203,26 +211,35 @@ func (b *Builder) wait(ctx context.Context) error {
 	}
 }
 
-// waitOrFlush waits like wait but additionally arms the Flush timer (when
-// configured), reporting whether the lull — not an arrival — ended the
-// wait.
-func (b *Builder) waitOrFlush(ctx context.Context) (bool, error) {
+// waitOrFlush blocks while an underfull block may still grow: until the
+// pool holds a full block or reaches capacity, the pool closes, or — with
+// Flush set — Flush has passed since start, whichever comes first. Each
+// arrival costs one Pool.Len; the pool is snapshotted once the wait ends.
+func (b *Builder) waitOrFlush(ctx context.Context, start time.Time) error {
 	var timer <-chan time.Time
 	if b.cfg.Flush > 0 {
-		t := time.NewTimer(b.cfg.Flush)
+		left := start.Add(b.cfg.Flush).Sub(b.pool.now())
+		if left <= 0 {
+			return nil
+		}
+		t := time.NewTimer(left)
 		defer t.Stop()
 		timer = t.C
 	}
-	//txlint:clock flush lulls are inherently wall-clock; block contents still come deterministically from the snapshot
-	select {
-	case <-b.pool.arrival:
-		return false, nil
-	case <-b.pool.closedCh:
-		return false, nil
-	case <-timer:
-		return true, nil
-	case <-ctx.Done():
-		return false, ctx.Err()
+	for {
+		//txlint:clock the close deadline is inherently wall-clock; block contents still come deterministically from the snapshot
+		select {
+		case <-b.pool.arrival:
+			if n := b.pool.Len(); n >= b.cfg.Pack.MaxTxs || n >= b.pool.Cap() {
+				return nil
+			}
+		case <-b.pool.closedCh:
+			return nil
+		case <-timer:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 }
 

@@ -164,7 +164,8 @@ func TestBuilderDeterministicEndToEnd(t *testing.T) {
 }
 
 // TestBuilderFlushClosesPartialBlocks: with Flush set, an underfull open
-// pool still produces a block after a lull instead of waiting forever.
+// pool still produces a block once its deadline passes instead of waiting
+// forever.
 func TestBuilderFlushClosesPartialBlocks(t *testing.T) {
 	pre := account.NewStateDB()
 	pre.AddBalance(addr(1), 1<<30)
@@ -197,4 +198,178 @@ func TestBuilderFlushClosesPartialBlocks(t *testing.T) {
 	}
 	pool.Close()
 	<-done
+}
+
+// The trickle the deadline tests submit: one transaction every
+// trickleEvery, trickleN of them, so arrivals never pause for as long as
+// the tests' Flush.
+const (
+	trickleEvery = 4 * time.Millisecond
+	trickleN     = 50
+)
+
+// stampedBlock is a built block with the time it reached the consumer.
+type stampedBlock struct {
+	BuiltBlock
+	at time.Time
+}
+
+// runTrickle runs a builder over pool while calling submit(i) for
+// i = 0..trickleN-1, one call per trickleEvery on the calling goroutine,
+// then closes the pool. It returns the emitted blocks, Run's leftovers and
+// the time the trickle ended (before the pool closed).
+func runTrickle(t *testing.T, pre *account.StateDB, pool *Pool, cfg BuilderConfig, submit func(i uint64)) ([]stampedBlock, []*Pending, time.Time) {
+	t.Helper()
+	builder := NewBuilder(pool, pre, cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out := make(chan BuiltBlock)
+	var blocks []stampedBlock
+	collected := make(chan struct{})
+	go func() {
+		defer close(collected)
+		for bb := range out {
+			blocks = append(blocks, stampedBlock{bb, time.Now()})
+		}
+	}()
+	var left []*Pending
+	var runErr error
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		left, runErr = builder.Run(ctx, out)
+	}()
+	tick := time.NewTicker(trickleEvery)
+	defer tick.Stop()
+	for i := uint64(0); i < trickleN; i++ {
+		if i > 0 {
+			<-tick.C
+		}
+		submit(i)
+	}
+	ended := time.Now()
+	pool.Close()
+	<-ran
+	<-collected
+	if runErr != nil {
+		t.Fatalf("run: %v", runErr)
+	}
+	return blocks, left, ended
+}
+
+// TestBuilderFlushIsADeadline: under a steady trickle that never pauses
+// for Flush, an underfull block still closes Flush after its oldest
+// transaction arrived — a lull rule would hold every transaction until
+// the pool closes — and durable acks follow the block, not the trickle.
+func TestBuilderFlushIsADeadline(t *testing.T) {
+	const flush = 20 * time.Millisecond
+	pre := account.NewStateDB()
+	pre.AddBalance(addr(1), 1<<30)
+	pool := New(2 * trickleN)
+	var firstAdmit time.Time
+	firstAck := make(chan time.Time, 1)
+	var acks []<-chan error
+	blocks, left, ended := runTrickle(t, pre, pool, BuilderConfig{
+		Packer:   FIFO{}, // every pending transaction fits: only the close rule shapes blocks
+		Pack:     PackConfig{MaxTxs: 1000},
+		Coinbase: types.AddressFromUint64("miner", 1),
+		Flush:    flush,
+		Log:      newCaptureLog(),
+	}, func(i uint64) {
+		if i == 0 {
+			firstAdmit = time.Now()
+		}
+		ack, err := pool.SubmitDurable(context.Background(), PredictTransfer(transfer(1, 2, i, 5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			go func() {
+				if err := <-ack; err != nil {
+					t.Errorf("first ack: %v", err)
+				}
+				firstAck <- time.Now()
+			}()
+			return
+		}
+		acks = append(acks, ack)
+	})
+	if len(left) != 0 {
+		t.Fatalf("%d leftovers", len(left))
+	}
+	if len(blocks) == 0 {
+		t.Fatal("no block built")
+	}
+	for name, at := range map[string]time.Time{"first block": blocks[0].at, "first ack": <-firstAck} {
+		if !at.Before(ended) {
+			t.Fatalf("%s came %v after the trickle ended: the deadline never fired", name, at.Sub(ended))
+		}
+		if waited := at.Sub(firstAdmit); waited > flush+30*time.Millisecond {
+			t.Fatalf("%s came %v after the first admission, want ≤ Flush + 30ms", name, waited)
+		}
+	}
+	packed, multi := 0, false
+	for i, bb := range blocks {
+		if len(bb.Block.Txs) == 0 {
+			t.Fatalf("block %d is empty", i)
+		}
+		packed += len(bb.Block.Txs)
+		multi = multi || len(bb.Block.Txs) > 1
+	}
+	if packed != trickleN {
+		t.Fatalf("%d of %d transactions packed", packed, trickleN)
+	}
+	if !multi {
+		t.Fatal("every block holds one transaction: the deadline closed a block per arrival")
+	}
+	for i, ack := range acks {
+		if err := <-ack; err != nil {
+			t.Fatalf("ack %d: %v", i+1, err)
+		}
+	}
+}
+
+// TestBuilderDeadlineIgnoresStuckHead: a transaction deferred forever at
+// the pool head (a nonce gap) does not make every later arrival close a
+// block of its own, because the deadline never starts before the previous
+// block closed.
+func TestBuilderDeadlineIgnoresStuckHead(t *testing.T) {
+	const flush = 20 * time.Millisecond
+	pre := account.NewStateDB()
+	pre.AddBalance(addr(1), 1<<30)
+	pre.AddBalance(addr(2), 1<<30)
+	pool := New(2 * trickleN)
+	start := time.Now()
+	if err := pool.Submit(context.Background(), PredictTransfer(transfer(2, 3, 5, 5))); err != nil {
+		t.Fatal(err)
+	}
+	blocks, left, _ := runTrickle(t, pre, pool, BuilderConfig{
+		Packer:   FIFO{}, // every pending transaction fits: only the close rule shapes blocks
+		Pack:     PackConfig{MaxTxs: 1000},
+		Coinbase: types.AddressFromUint64("miner", 1),
+		Flush:    flush,
+	}, func(i uint64) {
+		if err := pool.Submit(context.Background(), PredictTransfer(transfer(1, 2, i, 5))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	elapsed := time.Since(start)
+	if most := int(elapsed/flush) + 2; len(blocks) > most {
+		t.Fatalf("%d blocks in %v, want ≤ %d: the stuck head closed a block per arrival", len(blocks), elapsed, most)
+	}
+	next := uint64(0)
+	for _, bb := range blocks {
+		for _, tx := range bb.Block.Txs {
+			if tx.From != addr(1) || tx.Nonce != next {
+				t.Fatalf("packed %s nonce %d, want %s nonce %d", tx.From.Short(), tx.Nonce, addr(1).Short(), next)
+			}
+			next++
+		}
+	}
+	if next != trickleN {
+		t.Fatalf("%d of %d trickled transactions committed", next, trickleN)
+	}
+	if len(left) != 1 || left[0].Tx.From != addr(2) || left[0].Tx.Nonce != 5 {
+		t.Fatalf("leftovers %v, want only the stuck transaction", left)
+	}
 }

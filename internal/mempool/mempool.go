@@ -176,6 +176,17 @@ func (p *Pool) notify() {
 	}
 }
 
+// head reports the number of pending transactions, the admission time of
+// the oldest, and the closed flag, without copying the pending slice.
+func (p *Pool) head() (n int, oldest time.Time, closed bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.pending) > 0 {
+		oldest = p.pending[0].Submitted
+	}
+	return len(p.pending), oldest, p.closed
+}
+
 // view snapshots the pending transactions in arrival order plus the closed
 // flag. The returned slice is a copy; the Pendings are shared (read-only
 // by convention once admitted).
