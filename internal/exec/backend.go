@@ -35,6 +35,20 @@ type baseState interface {
 	GetStorage(types.Address, uint64) uint64
 }
 
+// baseVal reads one state key from a base state.
+func baseVal(bs baseState, k StateKey) stateVal {
+	switch k.Kind {
+	case kindBalance:
+		return stateVal{i64: bs.GetBalance(k.Addr)}
+	case kindNonce:
+		return stateVal{u64: bs.GetNonce(k.Addr)}
+	case kindCode:
+		return stateVal{bytes: bs.GetCode(k.Addr)}
+	default:
+		return stateVal{u64: bs.GetStorage(k.Addr, k.Slot)}
+	}
+}
+
 // kindByte maps an exec state-key kind to the basestore codec's constant.
 func kindByte(k keyKind) byte {
 	switch k {

@@ -1,19 +1,29 @@
 package exec
 
 import (
+	"runtime"
+
 	"txconcur/internal/account"
 	"txconcur/internal/mvstore"
 )
 
-// CheckpointSink receives asynchronous snapshots of committed chain state
-// from the sharded chain drivers. wal.Checkpointer is the production
+// CheckpointSink receives asynchronous change sets of committed chain
+// state from the sharded chain drivers. wal.Checkpointer is the production
 // implementation; the seam keeps exec free of any dependency on the
 // durability layer.
 //
 // Checkpoint is called from a dedicated worker goroutine — never the
 // commit path — with the chain-wide index of the last block included and
-// a private, fully materialised StateDB (the committed state after that
-// block, journal empty). The sink owns st.
+// a private StateDB (journal empty) that holds a change set, not the
+// state: every key committed since the previous delivered checkpoint, at
+// its value after block idx. The first call is relative to the chain's
+// starting state; a skipped point (ChainShardStats.CheckpointsSkipped)
+// folds its keys into the next delivered one. Installing the delivered
+// sets in order over the starting state (basestore.InstallEntry of each
+// basestore.StateEntries entry) therefore reproduces the committed state
+// after each idx. A storage slot cleared to zero stays in the set as an
+// explicit zero, a tombstone that deletes the slot on install. The sink
+// owns st.
 type CheckpointSink interface {
 	// Interval is the checkpoint cadence in blocks; <= 0 disables
 	// checkpointing entirely.
@@ -21,14 +31,15 @@ type CheckpointSink interface {
 	Checkpoint(idx int, st *account.StateDB)
 }
 
-// ckptReq asks the checkpoint worker for a snapshot of the state as of
-// the commit timestamp ts (block index idx). The committer pins every
-// shard's store at ts before enqueueing so epoch GC cannot reclaim the
-// versions the worker will read; the worker releases the pins as soon as
-// it has materialised.
+// ckptReq asks the checkpoint worker for the values of keys as of the
+// commit timestamp ts (block index idx). The committer pins every shard's
+// store at ts before enqueueing so epoch GC cannot reclaim the versions
+// the worker will read; the worker releases the pins as soon as it has
+// resolved.
 type ckptReq struct {
 	idx  int
 	ts   uint64
+	keys []StateKey
 	pins []*mvstore.Snapshot[StateKey, stateVal]
 }
 
@@ -41,11 +52,12 @@ func (c *shardedChain) startCheckpoints(sink CheckpointSink) {
 	}
 	c.ckptEvery = sink.Interval()
 	c.ckptCh = make(chan ckptReq, 2)
+	c.dirtySeen = make(map[StateKey]struct{})
 	c.ckptWG.Add(1)
 	go func() {
 		defer c.ckptWG.Done()
 		for req := range c.ckptCh {
-			st := c.materializeAt(req.ts)
+			st := c.changeSet(req.keys, req.ts)
 			for _, p := range req.pins {
 				p.Release()
 			}
@@ -54,18 +66,29 @@ func (c *shardedChain) startCheckpoints(sink CheckpointSink) {
 	}()
 }
 
-// enqueueCheckpoint hands the current commit point to the worker without
-// ever blocking the commit path: if the worker is still busy (two
-// requests deep), the checkpoint is skipped — a longer replay after a
-// crash, never commit latency.
+// markDirty adds one committed key to the pending change set, once.
+func (c *shardedChain) markDirty(k StateKey) {
+	if _, ok := c.dirtySeen[k]; !ok {
+		c.dirtySeen[k] = struct{}{}
+		c.dirty = append(c.dirty, k)
+	}
+}
+
+// enqueueCheckpoint hands the current commit point and the keys committed
+// since the last delivered one to the worker without ever blocking the
+// commit path: if the worker is still busy (two requests deep), the
+// checkpoint is skipped — a longer replay after a crash, never commit
+// latency — and the keys stay pending for the next point.
 func (c *shardedChain) enqueueCheckpoint(idx int, ts uint64) {
-	req := ckptReq{idx: idx, ts: ts, pins: make([]*mvstore.Snapshot[StateKey, stateVal], len(c.mvs))}
+	req := ckptReq{idx: idx, ts: ts, keys: c.dirty, pins: make([]*mvstore.Snapshot[StateKey, stateVal], len(c.mvs))}
 	for sh := range c.mvs {
 		req.pins[sh] = c.mvs[sh].PinAt(ts)
 	}
 	select {
 	case c.ckptCh <- req:
 		c.css.Checkpoints++
+		c.dirty = make([]StateKey, 0, len(req.keys))
+		clear(c.dirtySeen)
 	default:
 		for _, p := range req.pins {
 			p.Release()
@@ -87,53 +110,60 @@ func (c *shardedChain) closeCheckpoints() {
 	})
 }
 
-// materializeAt builds a standalone StateDB equal to the committed state
-// at timestamp ts: every shard's view at ts is resolved and the newest
-// version of each key wins across shards (migration leaves superseded
-// copies behind on a key's previous shards; a key commits on exactly one
-// shard per timestamp, so the newest visible version is unique). Runs on
-// the checkpoint worker concurrently with commits at timestamps above ts,
-// which is safe: version nodes are immutable, RangeResolvedAt skips
-// anything newer than ts, and the caller's pins keep GC at bay.
-func (c *shardedChain) materializeAt(ts uint64) *account.StateDB {
-	type cand struct {
-		val      stateVal
-		anchored bool
-		newest   uint64
-	}
-	best := make(map[StateKey]cand)
-	for _, mv := range c.mvs {
-		mv.RangeResolvedAt(ts, func(k StateKey, v stateVal, anchored bool, newest uint64) bool {
-			if cur, ok := best[k]; !ok || newest > cur.newest {
-				best[k] = cand{val: v, anchored: anchored, newest: newest}
-			}
-			return true
-		})
-	}
-	st := c.st.Copy()
-	// Base layer between the pre-chain copy and the cache fold. Ordering
-	// vs a concurrent eviction: eviction persists before it drops, and the
-	// backend capture here runs *after* the cache scan above — so a chain
-	// the scan missed was dropped before the scan, hence persisted before
-	// the capture, and the base read below sees it. A key present in both
-	// reads identically (eviction requires the chain fully resolved at or
-	// below every pin, including ours at ts) or strictly newer from the
-	// cache, and the cache fold runs last, so it wins either way. An
-	// eviction-cut chain always has head ≤ our pinned ts, so the base
-	// value never postdates the checkpoint.
-	if c.bst != nil {
-		// A backend failure poisons the snapshot; the committer latches
-		// and aborts the chain, so a best-effort empty base here is moot —
-		// record the error and hand the sink the pre-chain copy.
-		if err := foldBackendInto(c.bst.be, st); err != nil {
-			c.bst.fail(err)
+// changeSet builds the checkpoint payload: each key's committed value at
+// timestamp ts. Runs on the checkpoint worker concurrently with commits
+// at timestamps above ts, which is safe: version nodes are immutable,
+// ResolvedAt skips anything newer than ts, and the caller's pins keep GC
+// at bay.
+func (c *shardedChain) changeSet(keys []StateKey, ts uint64) *account.StateDB {
+	var e account.StateExport
+	for _, k := range keys {
+		v := c.valueAt(k, ts)
+		switch k.Kind {
+		case kindBalance:
+			e.Accounts = append(e.Accounts, account.AccountExport{Addr: k.Addr, Balance: v.i64, HasBalance: true})
+		case kindNonce:
+			e.Accounts = append(e.Accounts, account.AccountExport{Addr: k.Addr, Nonce: v.u64, HasNonce: true})
+		case kindCode:
+			e.Accounts = append(e.Accounts, account.AccountExport{Addr: k.Addr, Code: v.bytes, HasCode: true})
+		case kindStorage:
+			// Restore keeps a zero word: the tombstone of a cleared slot.
+			e.Storage = append(e.Storage, account.StorageExport{Addr: k.Addr, Slot: k.Slot, Value: v.u64})
 		}
 	}
-	fold := foldResolvedInto(st)
-	//txlint:ordered distinct StateKeys mutate distinct state entries; fold order across keys cannot matter
-	for k, b := range best {
-		fold(k, b.val, b.anchored)
+	return e.Restore()
+}
+
+// valueAt resolves one committed key at the pinned timestamp ts. The
+// newest visible version across shards wins: migration leaves superseded
+// copies behind on a key's previous shards, and a key commits on exactly
+// one shard per timestamp. A key no shard holds at ts was evicted, and a
+// delta-only chain is an increment over the evicted value; both resolve
+// through c.bs (the backend, then the pre-chain state). While ts is pinned
+// an eviction only persists and drops chains already resolved at ts, but
+// one landing mid-resolve could hide the owner's chain behind a stale
+// migration copy, or persist a delta the scan already counted; evictSeq
+// is odd while evictShards persists and drops, so such a resolve is
+// repeated.
+func (c *shardedChain) valueAt(k StateKey, ts uint64) stateVal {
+	for {
+		seq := c.evictSeq.Load()
+		var v stateVal
+		var newest uint64
+		found, anchored := false, false
+		for _, mv := range c.mvs {
+			if sv, a, n, ok := mv.ResolvedAt(k, ts); ok && (!found || n > newest) {
+				v, newest, found, anchored = sv, n, true, a
+			}
+		}
+		if !anchored {
+			base := baseVal(c.bs, k)
+			base.i64 += v.i64 // deltas exist only for balances; zero when !found
+			v = base
+		}
+		if seq&1 == 0 && c.evictSeq.Load() == seq {
+			return v
+		}
+		runtime.Gosched()
 	}
-	st.DiscardJournal()
-	return st
 }

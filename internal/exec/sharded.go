@@ -105,11 +105,12 @@ type Sharded struct {
 	// repairs alike); nil charges the receipt's gas.
 	Cost CostModel
 	// Checkpoint, if non-nil with a positive Interval, receives async
-	// snapshots of committed chain state every Interval blocks from
-	// ExecuteChain/ExecuteChainStream (see CheckpointSink). The snapshot
-	// worker never blocks the commit path: busy intervals are skipped and
-	// counted in ChainShardStats.CheckpointsSkipped. Ignored by the
-	// per-block Execute/ExecuteSharded.
+	// change sets of committed chain state every Interval blocks from
+	// ExecuteChain/ExecuteChainStream (see CheckpointSink). The
+	// checkpoint worker never blocks the commit path: busy intervals are
+	// skipped, counted in ChainShardStats.CheckpointsSkipped, and folded
+	// into the next delivered change set. Ignored by the per-block
+	// Execute/ExecuteSharded.
 	Checkpoint CheckpointSink
 	// Backend, if non-nil, is the disk-backed base layer shared by every
 	// shard's version cache: the chain drivers evict cold, fully resolved

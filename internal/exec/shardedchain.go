@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"txconcur/internal/account"
@@ -63,10 +64,11 @@ type ChainShardStats struct {
 	RebalanceEpochs int
 	Migrations      int
 	MigrationUnits  int
-	// Checkpoints counts snapshots handed to the engine's CheckpointSink;
-	// CheckpointsSkipped counts commit points whose checkpoint was dropped
-	// because the async worker was still busy (the commit path never
-	// waits). Both zero without a sink.
+	// Checkpoints counts change sets handed to the engine's
+	// CheckpointSink; CheckpointsSkipped counts commit points not handed
+	// over because the async worker was still busy (the commit path never
+	// waits). A skipped point loses nothing: its keys stay pending and
+	// ride in the next delivered change set. Both zero without a sink.
 	Checkpoints        int
 	CheckpointsSkipped int
 	// Evicted counts version chains the committer moved from the per-shard
@@ -141,14 +143,20 @@ type shardedChain struct {
 	gasSeq              uint64
 	conflicted, retries int
 
-	// Async checkpointing (see checkpoint.go): the committer enqueues
-	// pinned commit points every ckptEvery blocks; the worker materialises
-	// and hands them to the engine's CheckpointSink. ckptCh nil when
-	// checkpointing is off.
+	// Async checkpointing (see checkpoint.go): the committer collects the
+	// keys each block commits in dirty (first-commit order, deduplicated
+	// by dirtySeen) and enqueues them with a pinned commit point every
+	// ckptEvery blocks; the worker resolves them into a change set for
+	// the engine's CheckpointSink. ckptCh nil when checkpointing is off.
+	// evictSeq is odd while evictShards persists and drops chains, so the
+	// worker can tell a resolve that raced an eviction.
 	ckptCh    chan ckptReq
 	ckptWG    sync.WaitGroup
 	ckptOnce  sync.Once
 	ckptEvery int
+	dirty     []StateKey
+	dirtySeen map[StateKey]struct{}
+	evictSeq  atomic.Uint64
 }
 
 // ExecuteChain executes blocks in order on st (mutated on success), with
@@ -420,6 +428,9 @@ func (e Sharded) runShardedEpoch(c *shardedChain, src epochSource,
 			if w, ok := out.acc.entries[i].mvWrite(); ok {
 				k := out.acc.entries[i].key
 				parts[shardOfKey(k)][k] = w
+				if c.ckptCh != nil {
+					c.markDirty(k)
+				}
 			}
 		}
 		out.acc.release()
@@ -539,6 +550,8 @@ func (c *shardedChain) evictShards(horizon uint64) (int, error) {
 			owned = append(owned, ev.Key)
 		}
 	}
+	c.evictSeq.Add(1) // odd until the persist and drops are done
+	defer c.evictSeq.Add(1)
 	if len(entries) > 0 {
 		if err := c.bst.be.Apply(entries); err != nil {
 			return 0, err

@@ -84,16 +84,7 @@ func (s *stmState) currentVal(k StateKey) stateVal {
 	if v, ok := s.readVal(k); ok {
 		return v
 	}
-	switch k.Kind {
-	case kindBalance:
-		return stateVal{i64: s.base.GetBalance(k.Addr)}
-	case kindNonce:
-		return stateVal{u64: s.base.GetNonce(k.Addr)}
-	case kindCode:
-		return stateVal{bytes: s.base.GetCode(k.Addr)}
-	default:
-		return stateVal{u64: s.base.GetStorage(k.Addr, k.Slot)}
-	}
+	return baseVal(s.base, k)
 }
 
 // writeVal buffers a write and journals the previously visible value, so

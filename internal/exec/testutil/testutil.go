@@ -15,6 +15,7 @@ import (
 
 	"txconcur/internal/account"
 	"txconcur/internal/types"
+	"txconcur/internal/vm"
 )
 
 // procDeferred mirrors exec's shared processor configuration: fees are
@@ -93,4 +94,54 @@ func RequireReceipts(tb testing.TB, name string, block int, got, want []*account
 			tb.Fatalf("%s block %d receipt %d differs: %+v vs %+v", name, block, i, a, w)
 		}
 	}
+}
+
+// ClearedSlotChain is a four-block fixture in which a token holder sends
+// its whole balance away: storage slot `slot` of contract `token` is zero
+// in pre, non-zero after blocks 0 and 1, and cleared back to zero by block
+// 2. A durable state format that drops zero-valued storage words would
+// resurrect the stale balance, so checkpoint and recovery suites use it to
+// pin the tombstone of a cleared slot; a checkpoint interval of 2 puts the
+// non-zero and the cleared value in consecutive checkpoints.
+func ClearedSlotChain() (pre *account.StateDB, blocks []*account.Block, token types.Address, slot uint64) {
+	holder := func(i uint64) types.Address { return types.AddressFromUint64("cleared-slot", i) }
+	token = types.AddressFromUint64("cleared-slot/token", 0)
+	// transfer-all: storage[arg] += storage[caller]; storage[caller] = 0.
+	code := vm.NewAsm().
+		Op(vm.OpArg).
+		Op(vm.OpArg, vm.OpSload).
+		Op(vm.OpCaller, vm.OpSload).
+		Op(vm.OpAdd, vm.OpSstore).
+		Op(vm.OpCaller).Push(0).Op(vm.OpSstore, vm.OpStop).
+		Bytes()
+	pre = account.NewStateDB()
+	for i := uint64(0); i < 6; i++ {
+		pre.AddBalance(holder(i), 1_000_000_000)
+	}
+	pre.SetCode(token, vm.EncodeContract(vm.Contract{Code: code}))
+	pre.SetStorage(token, vm.AddressFingerprint(holder(0)), 500)
+	pre.SetStorage(token, vm.AddressFingerprint(holder(1)), 300)
+	pre.DiscardJournal()
+
+	nonces := make(map[types.Address]uint64)
+	send := func(from types.Address, to types.Address, value int64, arg uint64) *account.Transaction {
+		tx := &account.Transaction{From: from, To: to, Value: value, Nonce: nonces[from],
+			GasLimit: 1_000_000, GasPrice: 1, Arg: arg}
+		nonces[from]++
+		return tx
+	}
+	sendAll := func(from, to types.Address) *account.Transaction {
+		return send(from, token, 0, vm.AddressFingerprint(to))
+	}
+	txs := [][]*account.Transaction{
+		{sendAll(holder(0), holder(2)), send(holder(3), holder(4), 10, 0)},
+		{sendAll(holder(1), holder(2)), send(holder(4), holder(5), 5, 0)},
+		{sendAll(holder(2), holder(3)), send(holder(5), holder(0), 1, 0)},
+		{send(holder(3), holder(5), 7, 0), sendAll(holder(4), holder(5))},
+	}
+	for h, b := range txs {
+		blocks = append(blocks, &account.Block{Height: uint64(h + 1), Time: int64(100 + h),
+			Coinbase: types.AddressFromUint64("cleared-slot/miner", 0), Txs: b})
+	}
+	return pre, blocks, token, vm.AddressFingerprint(holder(2))
 }

@@ -371,46 +371,40 @@ func (s *Store[K, V]) RangeLatestResolved(fn func(k K, val V, anchored bool) boo
 	})
 }
 
-// RangeResolvedAt is RangeLatestResolved at a fixed timestamp: fn sees
-// every key with a version visible at ts, materialised over the chain's
-// anchor as of ts, along with the timestamp of the newest visible version
-// (newest). Keys first written after ts are skipped. Callers merging
-// several stores' views (the checkpoint worker over per-shard stores)
-// use newest to let the most recent writer win. Safe to run concurrently
-// with commits at timestamps above ts — version nodes are immutable and
-// the walk skips anything newer — provided ts is pinned against garbage
-// collection (see PinAt). Iteration order is unspecified.
-func (s *Store[K, V]) RangeResolvedAt(ts uint64, fn func(k K, val V, anchored bool, newest uint64) bool) {
-	s.chains.Range(func(k, c any) bool {
-		ch := c.(*keyChain[V])
-		var newest uint64
-		var buf [foldBuf]V
-		deltas := buf[:0]
-		var anchor *version[V]
-		seen := false
-		for n := ch.head.Load(); n != nil; n = n.prev.Load() {
-			if n.ts > ts {
-				continue
-			}
-			if !seen {
-				newest = n.ts
-				seen = true
-			}
-			if n.kind == Put {
-				anchor = n
-				break
-			}
-			deltas = append(deltas, n.val)
+// ResolvedAt returns k's value as of ts materialised over the chain's
+// anchor, whether an absolute anchor exists at or below ts (when false,
+// val is the accumulated delta the caller must fold onto its base state),
+// and the timestamp of the newest visible version. ok is false when k has
+// no version at or below ts — never written, first written after ts, or
+// dropped from the cache. Callers merging several stores' views (the
+// checkpoint worker over per-shard stores) use newest to let the most
+// recent writer win. Safe to run concurrently with commits at timestamps
+// above ts — version nodes are immutable and the walk skips anything
+// newer — provided ts is pinned against garbage collection (see PinAt).
+// Unlike Get it leaves the key's clock bit alone, so a checkpoint read
+// never keeps a cold key resident. Lock-free.
+func (s *Store[K, V]) ResolvedAt(k K, ts uint64) (val V, anchored bool, newest uint64, ok bool) {
+	c, found := s.chains.Load(k)
+	if !found {
+		return val, false, 0, false
+	}
+	n := c.(*keyChain[V]).head.Load()
+	for n != nil && n.ts > ts {
+		n = n.prev.Load()
+	}
+	if n == nil {
+		return val, false, 0, false
+	}
+	newest = n.ts
+	var buf [foldBuf]V
+	deltas := buf[:0]
+	for ; n != nil; n = n.prev.Load() {
+		if n.kind == Put {
+			return s.fold(n.val, deltas), true, newest, true
 		}
-		if !seen {
-			return true
-		}
-		var val V
-		if anchor != nil {
-			val = anchor.val
-		}
-		return fn(k.(K), s.fold(val, deltas), anchor != nil, newest)
-	})
+		deltas = append(deltas, n.val)
+	}
+	return s.fold(val, deltas), false, newest, true
 }
 
 // Stats describes the store's occupancy.

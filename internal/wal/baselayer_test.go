@@ -45,7 +45,7 @@ func baseWorkload(t *testing.T, fsys wal.FS, pre *account.StateDB, blocks []*acc
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	st := pre.Copy()
+	st, ckpt := pre.Copy(), pre.Copy()
 	proc := account.Processor{DeferCoinbase: true}
 	for i, blk := range blocks {
 		if _, err := d.Log().Append(blk); err != nil {
@@ -64,9 +64,10 @@ func baseWorkload(t *testing.T, fsys wal.FS, pre *account.StateDB, blocks []*acc
 		st.AddBalance(blk.Coinbase, account.BlockReward)
 		st.DiscardJournal()
 		if every > 0 && (i+1)%every == 0 {
-			if err := d.WriteCheckpoint(uint64(i), st); err != nil {
+			if err := d.WriteCheckpoint(uint64(i), changeSet(ckpt, st)); err != nil {
 				return ackedBlocks, ackedFolds, autoMerges, err
 			}
+			ckpt = st.Copy()
 		}
 		gens := bs.Stats().Generations
 		if err := bs.Apply(basestore.StateEntries(st)); err != nil {
@@ -200,7 +201,7 @@ func TestBaseLayerCrashPointSweep(t *testing.T) {
 	}
 }
 
-// TestLazyRecoveryFaultsOnDemand is the payoff of the table checkpoint
+// TestLazyRecoveryFaultsOnDemand is the payoff of the store checkpoint
 // format: recovering and replaying a short log suffix faults in only the
 // keys the suffix touches — a small fraction of the checkpointed state —
 // and still lands on the oracle root after materialisation.

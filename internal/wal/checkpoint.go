@@ -1,69 +1,57 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 
 	"txconcur/internal/account"
 	"txconcur/internal/basestore"
 )
 
-const (
-	ckptPrefix = "checkpoint-"
-	ckptSuffix = ".ckpt"
-)
+// StateDirName is the directory, inside a durability directory, that holds
+// the checkpoint store.
+const StateDirName = "state"
 
-// ckptMetaKey keys the one non-state entry of a checkpoint table: its
-// value is the big-endian block index the checkpoint covers, validated
-// against the filename on open. The single zero byte is shorter than any
-// encoded state key, so it always sorts (and is written) first.
+// ckptMetaKey keys the one non-state entry of every checkpoint generation:
+// its value is the big-endian block index the checkpoint covers. The
+// single zero byte is shorter than any encoded state key, so it always
+// sorts (and is written) first.
 var ckptMetaKey = []byte{0x00}
 
-// A checkpoint file is a basestore sorted table: the meta entry followed
-// by basestore.StateEntries of the committed state after applying blocks
-// [0, index] of the log. The table's per-frame CRCs and strict key order
-// replace the old whole-file checksum, and its in-RAM key index is what
-// makes recovery lazy — Recover opens the index without touching the
-// values; the suffix replay faults keys in on demand.
+// Checkpoints live in one basestore.Store under StateDirName. Each
+// checkpoint is one generation: the change set the execution engine
+// delivered (every state key committed since the previous checkpoint,
+// cleared storage slots as explicit zeros) plus the meta entry. Stacked
+// newest-wins over genesis, the generations up to the newest are the
+// committed state after its index, and the store's size-tiered merges
+// drop the values later checkpoints superseded. The tables' per-frame
+// CRCs and strict key order detect damage, and their in-RAM key index is
+// what makes recovery lazy — LazyState faults values in on demand.
+//
+// The change sets are relative to the chain the Checkpointer is attached
+// to, so that chain must start at log index 0 from the genesis later
+// passed to Recover.
 
-// checkpointName returns the filename for a checkpoint at the given block
-// index; the fixed-width hex index makes lexical order equal numeric order.
-func checkpointName(index uint64) string {
-	return fmt.Sprintf("%s%016x%s", ckptPrefix, index, ckptSuffix)
-}
-
-// parseCheckpointName inverts checkpointName.
-func parseCheckpointName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptSuffix) {
-		return 0, false
-	}
-	hex := strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix)
-	if len(hex) != 16 {
-		return 0, false
-	}
-	idx, err := strconv.ParseUint(hex, 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return idx, true
-}
-
-// Dir is one durability directory: the block log plus any number of
-// versioned checkpoint files, all accessed through the same FS seam.
+// Dir is one durability directory: the block log plus the checkpoint
+// store, all accessed through the same FS seam.
 type Dir struct {
-	fsys   FS
-	path   string
-	policy SyncPolicy
-	log    *Log
-	recs   []Record
+	log  *Log
+	recs []Record
+	// store is nil when the checkpoint store failed validation on open.
+	// storeErr latches that, or the first failed checkpoint write: a
+	// change set the store missed is never covered by a later one, so
+	// after a failure WriteCheckpoint refuses every later checkpoint and
+	// recovery replays from the last one written.
+	store    *basestore.Store
+	storeErr error
 }
 
 // Open opens (creating if needed) the durability directory at path: the
-// block log is opened and scanned (torn tails truncated), checkpoint files
-// are left untouched until Recover.
+// block log is opened and scanned (torn tails truncated) and the
+// checkpoint store's tables are validated and indexed. A corrupt store is
+// not an error here — it costs a full replay in Recover, never the log.
 func Open(fsys FS, path string, policy SyncPolicy) (*Dir, error) {
 	if err := fsys.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: mkdir %s: %w", path, err)
@@ -72,7 +60,15 @@ func Open(fsys FS, path string, policy SyncPolicy) (*Dir, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dir{fsys: fsys, path: path, policy: policy, log: log, recs: recs}, nil
+	d := &Dir{log: log, recs: recs}
+	d.store, err = basestore.OpenStore(fsys, filepath.Join(path, StateDirName))
+	if errors.Is(err, basestore.ErrCorrupt) {
+		d.storeErr = fmt.Errorf("wal: checkpoint store: %w", err)
+	} else if err != nil {
+		log.Close()
+		return nil, err
+	}
+	return d, nil
 }
 
 // Log returns the directory's block log.
@@ -81,49 +77,45 @@ func (d *Dir) Log() *Log { return d.log }
 // Records returns the valid records found when the log was opened.
 func (d *Dir) Records() []Record { return d.recs }
 
-// Close closes the block log.
-func (d *Dir) Close() error { return d.log.Close() }
-
-// WriteCheckpoint atomically writes the committed state after block index
-// as a versioned checkpoint file. A crash at any stage leaves at worst a
-// stale temp file and the previous checkpoints — never a torn checkpoint
-// that recovery could trust.
-func (d *Dir) WriteCheckpoint(index uint64, st *account.StateDB) error {
-	entries := basestore.StateEntries(st)
-	all := make([]basestore.Entry, 0, len(entries)+1)
-	all = append(all, basestore.Entry{Key: ckptMetaKey, Val: basestore.EncodeU64(index)})
-	all = append(all, entries...)
-	path := filepath.Join(d.path, checkpointName(index))
-	tbl, err := basestore.WriteTable(d.fsys, path, all)
-	if err != nil {
-		return fmt.Errorf("wal: write checkpoint %d: %w", index, err)
+// Close closes the block log and the checkpoint store.
+func (d *Dir) Close() error {
+	if d.store != nil {
+		d.store.Close()
 	}
-	return tbl.Close() // only the file is wanted; recovery reopens and validates it
+	return d.log.Close()
 }
 
-// openCheckpoint opens and validates one checkpoint table. Only the key
-// index and the meta entry are read; state values stay on disk for
-// LazyState to fault in.
-func (d *Dir) openCheckpoint(name string) (*basestore.Table, error) {
-	tbl, err := basestore.OpenTable(d.fsys, filepath.Join(d.path, name))
-	if err != nil {
-		return nil, fmt.Errorf("wal: open checkpoint %s: %w", name, err)
+// WriteCheckpoint durably records the change set of a checkpoint at block
+// index: changes holds every key committed since the previous checkpoint
+// (see exec.CheckpointSink), at its value after block index. The entries
+// and the meta entry go to the store as one generation, atomically, so a
+// crash at any stage leaves at worst a stale temp file and the previous
+// checkpoint — never a torn one that recovery could trust. Not safe for
+// concurrent use; the engine's single checkpoint worker is the writer.
+func (d *Dir) WriteCheckpoint(index uint64, changes *account.StateDB) error {
+	if d.storeErr != nil {
+		return d.storeErr
 	}
-	meta, ok, err := tbl.Get(ckptMetaKey)
+	entries := append(basestore.StateEntries(changes), basestore.Entry{Key: ckptMetaKey, Val: basestore.EncodeU64(index)})
+	if err := d.store.Apply(entries); err != nil {
+		d.storeErr = fmt.Errorf("wal: write checkpoint %d: %w", index, err)
+		return d.storeErr
+	}
+	return nil
+}
+
+// checkpointIndex reads the block index of the newest checkpoint in the
+// store; ok is false when there is none or it cannot be read.
+func (d *Dir) checkpointIndex() (uint64, bool) {
+	if d.store == nil {
+		return 0, false
+	}
+	meta, ok, err := d.store.Get(ckptMetaKey)
 	if err != nil || !ok {
-		tbl.Close()
-		return nil, fmt.Errorf("wal: checkpoint %s: missing meta entry", name)
+		return 0, false
 	}
 	idx, err := basestore.DecodeU64(meta)
-	if err != nil {
-		tbl.Close()
-		return nil, fmt.Errorf("wal: checkpoint %s meta: %w", name, err)
-	}
-	if wantIdx, _ := parseCheckpointName(name); idx != wantIdx {
-		tbl.Close()
-		return nil, fmt.Errorf("wal: checkpoint %s claims index %d", name, idx)
-	}
-	return tbl, nil
+	return idx, err == nil
 }
 
 // Recovery is the outcome of Recover: the state to resume from and the
@@ -132,10 +124,11 @@ type Recovery struct {
 	// Checkpoint is the block index of the checkpoint used, -1 when
 	// recovery starts from genesis.
 	Checkpoint int64
-	// State is the recovered base state (the checkpoint's, or a copy of
-	// genesis) behind a fault-in view: only the checkpoint's key index is
-	// in RAM until keys are touched. Replaying Blocks on it reproduces
-	// the durable chain; call Materialize for a plain StateDB.
+	// State is the recovered base state behind a fault-in view: a copy of
+	// genesis, with the checkpoint store's values faulted in over it as
+	// keys are touched. Replaying Blocks on it reproduces the durable
+	// chain; call Materialize for a plain StateDB. It reads the store
+	// until Materialize, so materialise before closing the Dir.
 	State *LazyState
 	// Blocks is the log suffix after the checkpoint, in chain order.
 	Blocks []*account.Block
@@ -144,44 +137,20 @@ type Recovery struct {
 	NextIndex uint64
 }
 
-// Recover picks the newest valid checkpoint consistent with the log and
-// returns it plus the log suffix to replay. The log is the truth: a
-// checkpoint claiming blocks the (possibly truncated) log does not hold
-// is ignored, as is any checkpoint that fails validation — recovery then
-// falls back to an older checkpoint or to genesis. Deterministic: the
-// same durable bytes always produce the same Recovery.
+// Recover returns the newest checkpoint consistent with the log plus the
+// log suffix to replay. The log is the truth: a store that failed
+// validation, has no readable meta entry, or claims blocks the (possibly
+// truncated) log does not hold is ignored, and recovery replays the whole
+// log over genesis. Deterministic: the same durable bytes always produce
+// the same Recovery.
 func (d *Dir) Recover(genesis *account.StateDB) (*Recovery, error) {
-	names, err := d.fsys.ListDir(d.path)
-	if err != nil {
-		return nil, fmt.Errorf("wal: list %s: %w", d.path, err)
-	}
 	recs := d.recs
-	lastIdx := int64(-1)
-	if len(recs) > 0 {
-		lastIdx = int64(recs[len(recs)-1].Index)
-	}
-	// Walk checkpoints newest-first (ListDir is sorted; the fixed-width
-	// hex names sort numerically).
-	var best *basestore.Table
-	var bestIdx uint64
-	for i := len(names) - 1; i >= 0; i-- {
-		idx, ok := parseCheckpointName(names[i])
-		if !ok || int64(idx) > lastIdx {
-			continue
-		}
-		tbl, err := d.openCheckpoint(names[i])
-		if err != nil {
-			continue // a torn or foreign checkpoint costs replay time, never correctness
-		}
-		best, bestIdx = tbl, idx
-		break
-	}
 	out := &Recovery{Checkpoint: -1, NextIndex: d.log.NextIndex()}
 	suffixFrom := uint64(0)
-	if best != nil {
-		out.Checkpoint = int64(bestIdx)
-		out.State = newLazyState(best)
-		suffixFrom = bestIdx + 1
+	if idx, ok := d.checkpointIndex(); ok && len(recs) > 0 && idx <= recs[len(recs)-1].Index {
+		out.Checkpoint = int64(idx)
+		out.State = newLazyState(d.store, genesis.Copy())
+		suffixFrom = idx + 1
 	} else {
 		if len(recs) > 0 && recs[0].Index != 0 {
 			return nil, fmt.Errorf("wal: log starts at %d with no usable checkpoint", recs[0].Index)
@@ -217,8 +186,8 @@ func (d *Dir) Checkpointer(every int) *Checkpointer {
 // Interval returns the checkpoint interval in blocks.
 func (c *Checkpointer) Interval() int { return c.every }
 
-// Checkpoint writes the committed state after block idx. Called from the
-// engine's checkpoint worker goroutine, never the commit path.
+// Checkpoint writes the change set delivered for block idx. Called from
+// the engine's checkpoint worker goroutine, never the commit path.
 func (c *Checkpointer) Checkpoint(idx int, st *account.StateDB) {
 	err := c.d.WriteCheckpoint(uint64(idx), st)
 	c.mu.Lock()

@@ -10,12 +10,13 @@ import (
 )
 
 // LazyState is a recovered checkpoint viewed through fault-in: Recover
-// loads only the checkpoint table's key index, and each state read or
-// write pulls exactly the keys it touches off disk before delegating to
-// an in-RAM StateDB. Replaying a short log suffix therefore costs IO
-// proportional to the keys the suffix touches, not to the total state
-// size. Materialize faults in everything that remains and returns the
-// plain StateDB.
+// copies genesis and loads only the checkpoint store's key index, and each
+// state read or write pulls exactly the stored keys it touches off disk
+// over the genesis copy before delegating to that in-RAM StateDB.
+// Replaying a short log suffix therefore costs IO proportional to the keys
+// the suffix touches, not to the number of keys the chain ever changed.
+// Materialize faults in everything that remains and returns the plain
+// StateDB.
 //
 // LazyState implements account.State, so the sequential processor can
 // replay blocks over it directly. Methods are mutex-guarded; disk or
@@ -23,7 +24,7 @@ import (
 // surface from Err and Materialize.
 type LazyState struct {
 	mu     sync.Mutex
-	tbl    *basestore.Table // nil for genesis, and after Materialize
+	store  *basestore.Store // nil for genesis, and after Materialize
 	db     *account.StateDB
 	loaded map[string]bool
 	faults int
@@ -32,10 +33,10 @@ type LazyState struct {
 
 var _ account.State = (*LazyState)(nil)
 
-// newLazyState wraps an opened checkpoint table. The table is owned by
-// the LazyState and closed by Materialize.
-func newLazyState(tbl *basestore.Table) *LazyState {
-	return &LazyState{tbl: tbl, db: account.NewStateDB(), loaded: make(map[string]bool)}
+// newLazyState layers an opened checkpoint store over base. The store
+// stays owned by its Dir.
+func newLazyState(store *basestore.Store, base *account.StateDB) *LazyState {
+	return &LazyState{store: store, db: base, loaded: make(map[string]bool)}
 }
 
 // eagerLazyState wraps an already-complete StateDB (the genesis fallback);
@@ -44,10 +45,10 @@ func eagerLazyState(db *account.StateDB) *LazyState {
 	return &LazyState{db: db}
 }
 
-// ensure faults one key in from the checkpoint table. Absent keys are
+// ensure faults one key in from the checkpoint store. Absent keys are
 // remembered too, so each key hits the index at most once.
 func (ls *LazyState) ensure(kind byte, addr types.Address, slot uint64) {
-	if ls.tbl == nil {
+	if ls.store == nil {
 		return
 	}
 	key := basestore.EncodeKey(addr, kind, slot)
@@ -56,7 +57,7 @@ func (ls *LazyState) ensure(kind byte, addr types.Address, slot uint64) {
 		return
 	}
 	ls.loaded[ks] = true
-	val, ok, err := ls.tbl.Get(key)
+	val, ok, err := ls.store.Get(key)
 	if err != nil {
 		ls.fail(err)
 		return
@@ -91,22 +92,22 @@ func (ls *LazyState) Faults() int {
 	return ls.faults
 }
 
-// Materialize faults in every remaining checkpoint key, closes the table
-// and returns the fully loaded StateDB. Idempotent; the returned StateDB
-// is the same instance the lazy view wrote through, so replay done before
-// Materialize is preserved.
+// Materialize faults in every remaining checkpoint key and returns the
+// fully loaded StateDB. Idempotent; the returned StateDB is the same
+// instance the lazy view wrote through, so replay done before Materialize
+// is preserved.
 func (ls *LazyState) Materialize() (*account.StateDB, error) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	if ls.tbl != nil {
-		err := ls.tbl.Range(func(key, val []byte) bool {
+	if ls.store != nil {
+		err := ls.store.Range(func(key string, val []byte) bool {
 			if len(key) != basestore.KeySize {
 				return true // checkpoint meta entry
 			}
-			if ls.loaded[string(key)] {
+			if ls.loaded[key] {
 				return true // faulted earlier; possibly overwritten by replay since
 			}
-			if e := basestore.InstallEntry(ls.db, key, val); e != nil {
+			if e := basestore.InstallEntry(ls.db, []byte(key), val); e != nil {
 				ls.fail(e)
 				return false
 			}
@@ -115,8 +116,7 @@ func (ls *LazyState) Materialize() (*account.StateDB, error) {
 		if err != nil {
 			ls.fail(err)
 		}
-		ls.tbl.Close()
-		ls.tbl = nil
+		ls.store = nil
 		ls.loaded = nil
 	}
 	if ls.err != nil {

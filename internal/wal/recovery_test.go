@@ -1,6 +1,7 @@
 package wal_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"txconcur/internal/chainsim"
 	"txconcur/internal/exec"
 	"txconcur/internal/exec/testutil"
+	"txconcur/internal/types"
 	"txconcur/internal/wal"
 )
 
@@ -38,7 +40,7 @@ func durWorkload(t *testing.T, fsys wal.FS, pre *account.StateDB, blocks []*acco
 	if err != nil {
 		return 0, err
 	}
-	st := pre.Copy()
+	st, ckpt := pre.Copy(), pre.Copy()
 	proc := account.Processor{DeferCoinbase: true}
 	for i, blk := range blocks {
 		if _, err := d.Log().Append(blk); err != nil {
@@ -57,12 +59,53 @@ func durWorkload(t *testing.T, fsys wal.FS, pre *account.StateDB, blocks []*acco
 		st.AddBalance(blk.Coinbase, account.BlockReward)
 		st.DiscardJournal()
 		if every > 0 && (i+1)%every == 0 {
-			if err := d.WriteCheckpoint(uint64(i), st); err != nil {
+			if err := d.WriteCheckpoint(uint64(i), changeSet(ckpt, st)); err != nil {
 				return acked, err
 			}
+			ckpt = st.Copy()
 		}
 	}
 	return acked, d.Close()
+}
+
+// changeSet is the change set the execution engine's checkpoint worker
+// delivers between two committed states: every account field that is new
+// or differs in cur, every storage word that differs, and every slot cur
+// cleared as an explicit zero.
+func changeSet(prev, cur *account.StateDB) *account.StateDB {
+	pe := prev.Export()
+	old := make(map[types.Address]account.AccountExport, len(pe.Accounts))
+	for _, a := range pe.Accounts {
+		old[a.Addr] = a
+	}
+	var out account.StateExport
+	for _, a := range cur.Export().Accounts {
+		o := old[a.Addr]
+		d := account.AccountExport{Addr: a.Addr}
+		if a.HasBalance && (!o.HasBalance || o.Balance != a.Balance) {
+			d.Balance, d.HasBalance = a.Balance, true
+		}
+		if a.HasNonce && (!o.HasNonce || o.Nonce != a.Nonce) {
+			d.Nonce, d.HasNonce = a.Nonce, true
+		}
+		if a.HasCode && (!o.HasCode || !bytes.Equal(o.Code, a.Code)) {
+			d.Code, d.HasCode = a.Code, true
+		}
+		if d.HasBalance || d.HasNonce || d.HasCode {
+			out.Accounts = append(out.Accounts, d)
+		}
+	}
+	for _, sl := range cur.Export().Storage {
+		if prev.GetStorage(sl.Addr, sl.Slot) != sl.Value {
+			out.Storage = append(out.Storage, sl)
+		}
+	}
+	for _, sl := range pe.Storage {
+		if cur.GetStorage(sl.Addr, sl.Slot) == 0 {
+			out.Storage = append(out.Storage, account.StorageExport{Addr: sl.Addr, Slot: sl.Slot})
+		}
+	}
+	return out.Restore()
 }
 
 // requireRecovered opens the crash image, recovers, replays the log suffix

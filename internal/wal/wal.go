@@ -1,6 +1,6 @@
 // Package wal is the crash-safe durability layer under the streaming
 // block-builder service: a write-ahead block log the builder appends to
-// before the executor sees a block, versioned checkpoints of committed
+// before the executor sees a block, incremental checkpoints of committed
 // state written off the commit path, and deterministic recovery that
 // replays the log suffix over the latest checkpoint.
 //
@@ -12,16 +12,22 @@
 //   - the log is the truth: a block is durable the moment its record is
 //     appended and (per SyncPolicy) fsynced; the builder acks durable
 //     submissions only after that point (persist-then-ack);
-//   - checkpoints are an optimisation: they bound recovery replay, are
-//     written atomically (temp file, fsync, rename, directory fsync) by an
-//     asynchronous worker as basestore sorted tables, and a torn or
-//     missing checkpoint costs replay time, never correctness;
+//   - checkpoints are an optimisation: they bound recovery replay and are
+//     written by an asynchronous worker as generations of one
+//     basestore.Store — each generation the keys the chain committed since
+//     the previous checkpoint, cleared storage slots as explicit zeros —
+//     so a checkpoint costs the blocks' changes, not the state size, and
+//     the store's merges drop superseded values. Each generation is
+//     written atomically (temp file, fsync, rename, directory fsync); a
+//     torn, missing, corrupt or log-overtaking checkpoint costs replay
+//     time, never correctness;
 //   - recovery is deterministic: the same durable bytes always recover to
 //     the same state, because replay runs the same deterministic engines
 //     that produced the chain — roots and receipts of the replayed suffix
 //     are byte-identical to the uninterrupted run. Recovery is also lazy:
-//     Recover loads only the newest checkpoint's index, and LazyState
-//     faults account entries in on demand during suffix replay.
+//     Recover loads only the store's key index over a copy of genesis,
+//     and LazyState faults stored entries in on demand during suffix
+//     replay.
 //
 // All disk access goes through the FS seam (owned by internal/basestore,
 // aliased here) so the fault-injection harness (MemFS, FaultFS) can
