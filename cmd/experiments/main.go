@@ -40,13 +40,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	blocks := fs.Int("blocks", 200, "history blocks generated per chain")
 	buckets := fs.Int("buckets", 40, "time-series buckets (paper: 20-200)")
@@ -91,7 +91,6 @@ func run(args []string) error {
 	want := func(name string) bool { return re == nil || re.MatchString(name) }
 
 	r := bench.NewRunner(*blocks, *buckets, *seed)
-	out := os.Stdout
 	renderTable := func(w io.Writer, tbl bench.Table) error {
 		if *jsonOut {
 			enc := json.NewEncoder(w)

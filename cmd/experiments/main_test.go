@@ -1,14 +1,20 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"txconcur/internal/bench"
 )
 
 func TestRunStaticExperiments(t *testing.T) {
 	// tableI and fig1 need no generation; anchored regexp avoids fig10.
-	if err := run([]string{"-run", "tableI|fig1$", "-blocks", "5", "-buckets", "3"}); err != nil {
+	if err := run([]string{"-run", "tableI|fig1$", "-blocks", "5", "-buckets", "3"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -17,59 +23,80 @@ func TestRunOneFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a history")
 	}
-	if err := run([]string{"-run", "fig5", "-blocks", "10", "-buckets", "4"}); err != nil {
+	if err := run([]string{"-run", "fig5", "-blocks", "10", "-buckets", "4"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBadFilter(t *testing.T) {
-	if err := run([]string{"-run", "("}); err == nil {
+	if err := run([]string{"-run", "("}, io.Discard); err == nil {
 		t.Fatal("bad regexp accepted")
 	}
 }
 
+// TestRunOpLevelJSON runs E8 with -json at one block; its table must carry
+// the schema of docs/bench/E8-baseline.json. E8's headline property is
+// checked by internal/bench TestOpLevelComparison.
 func TestRunOpLevelJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs executors")
-	}
-	if err := run([]string{"-run", "oplevel", "-execblocks", "3", "-json"}); err != nil {
-		t.Fatal(err)
-	}
+	checkRunJSON(t, "oplevel", "E8", "-execblocks", "1")
 }
 
+// TestRunShardingExecJSON runs E9 with -json at one block against the
+// schema of docs/bench/E9-baseline.json. E9's headline property is checked
+// by internal/bench TestShardingComparison.
 func TestRunShardingExecJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs executors")
-	}
-	if err := run([]string{"-run", "shardingexec", "-execblocks", "3", "-json"}); err != nil {
-		t.Fatal(err)
+	checkRunJSON(t, "shardingexec", "E9", "-execblocks", "1")
+}
+
+// TestRunJSON runs the other recorded-baseline experiments with -json
+// against their docs/bench baselines. adaptiveshard keeps 6 blocks so a
+// rebalance epoch still runs.
+func TestRunJSON(t *testing.T) {
+	for _, tc := range []struct {
+		name, baseline string
+		args           []string
+	}{
+		{"shardedpipeline", "E10", []string{"-execblocks", "1"}},
+		{"adaptiveshard", "E11", []string{"-execblocks", "6"}},
+		{"tracereplay", "E12", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkRunJSON(t, tc.name, tc.baseline, tc.args...)
+		})
 	}
 }
 
-func TestRunShardedPipelineJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs executors")
-	}
-	if err := run([]string{"-run", "shardedpipeline", "-execblocks", "3", "-json"}); err != nil {
+// checkRunJSON runs one experiment with -json and compares its output with
+// docs/bench/<baseline>-baseline.json. With no extra args the experiment
+// runs at its recorded scale (E12) and must reproduce the baseline byte for
+// byte; at a reduced -execblocks it must decode to a table with the
+// baseline's name, title and headers.
+func checkRunJSON(t *testing.T, name, baseline string, args ...string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("..", "..", "docs", "bench", baseline+"-baseline.json"))
+	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestRunAdaptiveShardJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs executors")
-	}
-	if err := run([]string{"-run", "adaptiveshard", "-execblocks", "6", "-json"}); err != nil {
+	var got bytes.Buffer
+	if err := run(append([]string{"-run", name + "$", "-json"}, args...), &got); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestRunTraceReplayJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs executors")
+	if args == nil {
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("output differs from %s-baseline.json:\n%s", baseline, got.Bytes())
+		}
+		return
 	}
-	if err := run([]string{"-run", "tracereplay", "-json"}); err != nil {
+	var gt, wt bench.Table
+	if err := json.Unmarshal(got.Bytes(), &gt); err != nil {
 		t.Fatal(err)
+	}
+	if err := json.Unmarshal(want, &wt); err != nil {
+		t.Fatal(err)
+	}
+	if gt.Name != wt.Name || gt.Title != wt.Title || !slices.Equal(gt.Headers, wt.Headers) {
+		t.Fatalf("schema %q %q %q, baseline has %q %q %q",
+			gt.Name, gt.Title, gt.Headers, wt.Name, wt.Title, wt.Headers)
 	}
 }
 
@@ -79,7 +106,7 @@ func TestRunProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.out")
 	tr := filepath.Join(dir, "trace.out")
-	if err := run([]string{"-run", "tableI", "-cpuprofile", cpu, "-trace", tr}); err != nil {
+	if err := run([]string{"-run", "tableI", "-cpuprofile", cpu, "-trace", tr}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []string{cpu, tr} {
@@ -91,7 +118,7 @@ func TestRunProfileFlags(t *testing.T) {
 			t.Fatalf("%s is empty", f)
 		}
 	}
-	if err := run([]string{"-run", "tableI", "-cpuprofile", filepath.Join(dir, "missing", "cpu.out")}); err == nil {
+	if err := run([]string{"-run", "tableI", "-cpuprofile", filepath.Join(dir, "missing", "cpu.out")}, io.Discard); err == nil {
 		t.Fatal("unwritable cpuprofile path accepted")
 	}
 }

@@ -22,61 +22,6 @@ func adaptiveEngine(shards int, op bool, rebalance int) Sharded {
 	}
 }
 
-// TestAdaptiveChainSerialEquivalenceAllProfiles is the migration-correctness
-// property the adaptive subsystem must uphold: for every account-model
-// chainsim profile, shard count {1, 2, 4, 8}, conflict mode, and rebalance
-// schedule (every block — migration between *every* pair of blocks — and
-// every third block), the adaptive chain produces the sequential root and
-// receipts, and therefore exactly the root of the static-map run.
-func TestAdaptiveChainSerialEquivalenceAllProfiles(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long: all profiles x shard counts x modes x rebalance schedules")
-	}
-	for _, p := range shardedEquivalenceProfiles() {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			t.Parallel()
-			pre, blocks, err := chainsim.GenerateAccountChain(p, 6, 11)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq := testutil.ReplaySequential(t, pre, blocks)
-			for _, shards := range []int{1, 2, 4, 8} {
-				for _, op := range []bool{false, true} {
-					static, _, err := Sharded{Workers: 8, Shards: shards, OpLevel: op, Depth: 2}.
-						ExecuteChain(pre.Copy(), blocks)
-					if err != nil {
-						t.Fatalf("static shards=%d op=%v: %v", shards, op, err)
-					}
-					for _, every := range []int{1, 3} {
-						cr, css, err := adaptiveEngine(shards, op, every).ExecuteChain(pre.Copy(), blocks)
-						if err != nil {
-							t.Fatalf("shards=%d op=%v every=%d: %v", shards, op, every, err)
-						}
-						if cr.Root != seq.Root() {
-							t.Fatalf("shards=%d op=%v every=%d: root diverged from sequential (stats %+v)",
-								shards, op, every, css)
-						}
-						if cr.Root != static.Root {
-							t.Fatalf("shards=%d op=%v every=%d: root diverged from static map",
-								shards, op, every)
-						}
-						seq.RequireChain(t, p.Name, cr.Root, cr.Receipts)
-						wantEpochs := (len(blocks) - 1) / every
-						if css.RebalanceEpochs != wantEpochs {
-							t.Fatalf("shards=%d op=%v every=%d: %d rebalance epochs, want %d",
-								shards, op, every, css.RebalanceEpochs, wantEpochs)
-						}
-						if shards == 1 && css.Migrations != 0 {
-							t.Fatalf("single shard migrated %d keys", css.Migrations)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestAdaptiveChainFuzzFixtures replays the conflict-heavy fuzz chains
 // through the adaptive engine at several shard counts and rebalance
 // schedules — nonce chains and shared-counter contracts exercise the

@@ -15,7 +15,6 @@ import (
 	"txconcur/internal/chainsim"
 	"txconcur/internal/core"
 	"txconcur/internal/exec/testutil"
-	"txconcur/internal/heat"
 	"txconcur/internal/mvstore"
 	"txconcur/internal/types"
 	"txconcur/internal/wal"
@@ -195,68 +194,8 @@ func boundedStore(t *testing.T) *basestore.Store {
 	return s
 }
 
-// TestBoundedChainSerialEquivalenceAllProfiles: every chain driver —
-// batch, streamed, and adaptive — run under a cache budget far below the
-// working set must still reproduce the sequential root and receipts on
-// every account-model profile, shard counts {1, 2, 4}, both conflict
-// modes. The batch runs must actually evict (a budget of 4 keys against
-// these working sets forces it), so the equivalence is exercised through
-// the evict-then-read-through path, not vacuously.
-func TestBoundedChainSerialEquivalenceAllProfiles(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long: all profiles x shard counts x modes x drivers")
-	}
-	for _, p := range shardedEquivalenceProfiles() {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			t.Parallel()
-			pre, blocks, err := chainsim.GenerateAccountChain(p, 6, 11)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq := testutil.ReplaySequential(t, pre, blocks)
-			evictedBatch := 0
-			for _, shards := range []int{1, 2, 4} {
-				for _, op := range []bool{false, true} {
-					e := Sharded{Workers: 8, Shards: shards, OpLevel: op, Depth: 2, CacheBudget: 4}
-
-					bs := boundedStore(t)
-					cr, css, err := e.withBackend(bs).ExecuteChain(pre.Copy(), blocks)
-					if err != nil {
-						t.Fatalf("batch shards=%d op=%v: %v", shards, op, err)
-					}
-					seq.RequireChain(t, p.Name, cr.Root, cr.Receipts)
-					evictedBatch += css.Evicted
-					bs.Close()
-
-					bs = boundedStore(t)
-					scr, _, err := e.withBackend(bs).ExecuteChainStream(pre.Copy(), feed(blocks), nil)
-					if err != nil {
-						t.Fatalf("stream shards=%d op=%v: %v", shards, op, err)
-					}
-					seq.RequireChain(t, p.Name, scr.Root, scr.Receipts)
-					bs.Close()
-
-					bs = boundedStore(t)
-					ae := Sharded{Workers: 8, OpLevel: op, Depth: 2, CacheBudget: 4,
-						Map: heat.NewAdaptiveMap(shards, nil), RebalanceEvery: 2}
-					acr, _, err := ae.withBackend(bs).ExecuteChain(pre.Copy(), blocks)
-					if err != nil {
-						t.Fatalf("adaptive shards=%d op=%v: %v", shards, op, err)
-					}
-					seq.RequireChain(t, p.Name, acr.Root, acr.Receipts)
-					bs.Close()
-				}
-			}
-			if evictedBatch == 0 {
-				t.Fatal("no batch run evicted a single key — the bound is not binding")
-			}
-		})
-	}
-}
-
 // withBackend returns a copy of the engine with the backend set — keeps
-// the table-driven test above readable.
+// the bounded row of TestShardedSerialEquivalenceAllProfiles readable.
 func (e Sharded) withBackend(be StateBackend) Sharded {
 	e.Backend = be
 	return e

@@ -81,6 +81,7 @@ func requireFoldedPrefixes(t *testing.T, label string, sink *ckptCapture, pre *a
 // half of the durability contract: a change set that diverged from the
 // replayed prefix would poison every recovery that starts from it.
 func TestChainCheckpointsMatchSequentialPrefixes(t *testing.T) {
+	t.Parallel()
 	pre, blocks, err := chainsim.GenerateAccountChain(chainsim.ShardSkewProfile(), 8, 11)
 	if err != nil {
 		t.Fatal(err)

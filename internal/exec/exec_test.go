@@ -334,6 +334,7 @@ func TestGroupedApproxHiddenConflictFallsBack(t *testing.T) {
 }
 
 func TestEnginesOnGeneratedHistory(t *testing.T) {
+	t.Parallel()
 	// Integration: every engine reproduces the sequential root on real
 	// generated Ethereum-like blocks (contracts, internal txs, creations).
 	g, err := chainsim.NewAcctGen(chainsim.EthereumProfile(), 8, 21)

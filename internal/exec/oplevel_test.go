@@ -119,6 +119,7 @@ func TestOpLevelReadMaterializesDependency(t *testing.T) {
 }
 
 func TestOpLevelEnginesOnHotKeyHistories(t *testing.T) {
+	t.Parallel()
 	// Serial equivalence on the generated hot-key workloads — the profiles
 	// whose key-level TDG collapses into one component.
 	for _, p := range chainsim.HotKeyProfiles() {

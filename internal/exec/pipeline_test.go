@@ -16,61 +16,12 @@ import (
 // perfectly valid chain. testutil.ReplaySequential reproduces Sequential
 // exactly (the testutil package's own tests pin that equivalence).
 
-// genChain generates numBlocks blocks for the profile and returns the state
-// before the first block plus the block sequence.
-func genChain(t *testing.T, p chainsim.Profile, numBlocks int, seed int64) (*account.StateDB, []*account.Block) {
-	t.Helper()
-	g, err := chainsim.NewAcctGen(p, numBlocks, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := g.Chain().State().Copy()
-	var blocks []*account.Block
-	for {
-		blk, _, ok, err := g.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		blocks = append(blocks, blk)
-	}
-	return pre, blocks
-}
-
-// TestPipelineSerialEquivalenceAllProfiles is the pipeline's regression
-// suite: on every account-model chainsim profile, executing the whole chain
-// through the pipelined engine must produce receipts and a final state root
-// identical to the Sequential engine. (UTXO profiles have no account state
-// for the engine to run on and are exercised by GroupedUTXO instead.)
-func TestPipelineSerialEquivalenceAllProfiles(t *testing.T) {
-	for _, p := range chainsim.AllProfiles() {
-		if p.Model != chainsim.Account {
-			continue
-		}
-		for _, depth := range []int{1, 3} {
-			pre, blocks := genChain(t, p, 12, 11)
-			seq := testutil.ReplaySequential(t, pre, blocks)
-
-			pipeSt := pre.Copy()
-			res, err := Pipeline{Workers: 8, Depth: depth}.ExecuteChain(pipeSt, blocks)
-			if err != nil {
-				t.Fatalf("%s depth %d: %v", p.Name, depth, err)
-			}
-			seq.RequireChain(t, p.Name, res.Root, res.Receipts)
-			if res.Stats.Txs > 0 && res.Stats.ParUnits <= 0 {
-				t.Fatalf("%s depth %d: non-positive ParUnits %d", p.Name, depth, res.Stats.ParUnits)
-			}
-		}
-	}
-}
-
 // TestPipelineSingleBlock mirrors the per-block engines: Execute on one
 // block must match Sequential from the same pre-state, for every block of a
 // generated history (using the generator's own pre-states, as the other
 // engines' tests do).
 func TestPipelineSingleBlock(t *testing.T) {
+	t.Parallel()
 	g, err := chainsim.NewAcctGen(chainsim.EthereumProfile(), 10, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +59,10 @@ func TestPipelineSingleBlock(t *testing.T) {
 // failures and stale balance reads, all of which must be repaired by
 // re-execution, never silently committed.
 func TestPipelineCrossBlockConflicts(t *testing.T) {
-	pre, blocks := genChain(t, chainsim.EthereumClassicProfile(), 8, 3)
+	pre, blocks, err := chainsim.GenerateAccountChain(chainsim.EthereumClassicProfile(), 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seq := testutil.ReplaySequential(t, pre, blocks)
 
 	res, err := Pipeline{Workers: 4, Depth: 2}.ExecuteChain(pre.Copy(), blocks)

@@ -22,6 +22,7 @@ import (
 // snapshots across era transitions, generator receipts fed to Grouped as
 // the scheduling oracle, and root equality against the sequential baseline.
 func TestGeneratorReceiptsConsistentWithPreState(t *testing.T) {
+	t.Parallel()
 	g, err := chainsim.NewAcctGen(chainsim.EthereumProfile(), 10, 7)
 	if err != nil {
 		t.Fatal(err)

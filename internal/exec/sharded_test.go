@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"txconcur/internal/chainsim"
 	"txconcur/internal/core"
 	"txconcur/internal/exec/testutil"
+	"txconcur/internal/heat"
 	"txconcur/internal/types"
 )
 
@@ -27,24 +29,52 @@ func shardedEquivalenceProfiles() []chainsim.Profile {
 	return ps
 }
 
-// TestShardedSerialEquivalenceAllProfiles: the sharded engine must
-// reproduce the sequential state root and receipts on every account-model
-// chainsim profile, for shard counts {1, 2, 4, 8}, in both key-level and
-// operation-level mode.
+// TestShardedSerialEquivalenceAllProfiles is the engine-equivalence
+// matrix: on every profile of shardedEquivalenceProfiles, every engine row
+// must reproduce the sequential oracle — state root and receipts — and
+// every sharded run must keep the ShardStats invariants (checkShardStats)
+// on every block. Each profile subtest generates its chain and oracles
+// once and runs every row over them as a parallel subtest:
+//
+//   - block: the per-block engine, shard counts {1, 2, 4, 8} x both
+//     conflict modes, from the generator's own per-block pre-states;
+//   - chain: the pipelined batch chain, shard counts {1, 2, 4, 8} x both
+//     modes (the E10 acceptance criterion);
+//   - stream: the same chain fed block by block through
+//     ExecuteChainStream, shard counts {2, 8} x both modes (batch and
+//     stream share the sharded core; TestStreamChainMatchesBatch pins
+//     the rest);
+//   - adaptive: fresh adaptive maps rebalancing every block — migration
+//     between every pair of blocks — and every third block;
+//   - bounded: batch, streamed and adaptive chains under a 4-key cache
+//     budget over a basestore backend, shard counts {1, 2, 4} x both
+//     modes; the batch runs must evict, so equivalence is exercised
+//     through evict-then-read-through, not vacuously;
+//   - pipeline: the Pipeline chain at depths 1 and 3.
+//
+// The rows share the fixture's blocks, and Transaction.Hash caches its
+// value without synchronisation. The oracles compute every hash in the
+// profile subtest's body, and parallel rows start only once that body has
+// returned, so the rows' engines only ever read cached hashes; keep the
+// oracles in the body.
 func TestShardedSerialEquivalenceAllProfiles(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long: all profiles x shard counts x modes")
-	}
+	t.Parallel()
 	for _, p := range shardedEquivalenceProfiles() {
-		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
+			// The generator injects each era's contracts into its state
+			// between blocks, so its per-block pre-states differ from the
+			// chain replay's post-states: the block row keeps the former
+			// and its own Sequential oracle, the chain rows the latter.
 			g, err := chainsim.NewAcctGen(p, 6, 11)
 			if err != nil {
 				t.Fatal(err)
 			}
+			var pres []*account.StateDB
+			var blocks []*account.Block
+			var blockSeq []*Result
 			for {
-				pre := g.Chain().State().Copy()
+				st := g.Chain().State().Copy()
 				blk, _, ok, err := g.Next()
 				if err != nil {
 					t.Fatal(err)
@@ -52,35 +82,153 @@ func TestShardedSerialEquivalenceAllProfiles(t *testing.T) {
 				if !ok {
 					break
 				}
-				seq, err := Sequential(pre.Copy(), blk)
+				res, err := Sequential(st.Copy(), blk)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, shards := range []int{1, 2, 4, 8} {
-					for _, op := range []bool{false, true} {
-						res, ss, err := Sharded{Workers: 8, Shards: shards, OpLevel: op}.ExecuteSharded(pre.Copy(), blk)
-						if err != nil {
-							t.Fatalf("block %d shards=%d op=%v: %v", blk.Height, shards, op, err)
-						}
-						if res.Root != seq.Root {
-							t.Fatalf("block %d shards=%d op=%v: root mismatch (stats %+v)", blk.Height, shards, op, ss)
-						}
-						if len(res.Receipts) != len(seq.Receipts) {
-							t.Fatalf("block %d shards=%d op=%v: receipt count", blk.Height, shards, op)
-						}
-						for i := range res.Receipts {
-							a, b := res.Receipts[i], seq.Receipts[i]
-							if a.Status != b.Status || a.GasUsed != b.GasUsed || a.TxHash != b.TxHash ||
-								len(a.Internal) != len(b.Internal) {
-								t.Fatalf("block %d shards=%d op=%v: receipt %d differs", blk.Height, shards, op, i)
+				pres, blocks, blockSeq = append(pres, st), append(blocks, blk), append(blockSeq, res)
+			}
+			pre := pres[0]
+			seq := testutil.ReplaySequential(t, pre, blocks)
+
+			checkChain := func(t *testing.T, label string, cr *ChainResult, css *ChainShardStats) {
+				t.Helper()
+				seq.RequireChain(t, label, cr.Root, cr.Receipts)
+				if len(css.Blocks) != len(blocks) {
+					t.Fatalf("%s: %d block stats, want %d", label, len(css.Blocks), len(blocks))
+				}
+				for bi := range css.Blocks {
+					checkShardStats(t, fmt.Sprintf("%s block %d", label, bi), len(blocks[bi].Txs), &css.Blocks[bi], nil)
+				}
+				if cr.Stats.Retries < cr.Stats.Conflicted {
+					t.Fatalf("%s: Retries %d < Conflicted %d", label, cr.Stats.Retries, cr.Stats.Conflicted)
+				}
+			}
+			modes := []bool{false, true}
+			rows := []struct {
+				name string
+				run  func(t *testing.T)
+			}{
+				{"block", func(t *testing.T) {
+					for bi, blk := range blocks {
+						for _, shards := range []int{1, 2, 4, 8} {
+							for _, op := range modes {
+								label := fmt.Sprintf("shards=%d op=%v", shards, op)
+								res, ss, err := Sharded{Workers: 8, Shards: shards, OpLevel: op}.ExecuteSharded(pres[bi].Copy(), blk)
+								if err != nil {
+									t.Fatalf("%s block %d: %v", label, bi, err)
+								}
+								if res.Root != blockSeq[bi].Root {
+									t.Fatalf("%s block %d: root mismatch (stats %+v)", label, bi, ss)
+								}
+								testutil.RequireReceipts(t, label, bi, res.Receipts, blockSeq[bi].Receipts)
+								checkShardStats(t, fmt.Sprintf("%s block %d", label, bi), len(blk.Txs), ss, &res.Stats)
 							}
 						}
-						if ss.Cross+ss.Intra != len(blk.Txs) {
-							t.Fatalf("block %d shards=%d op=%v: intra %d + cross %d != %d txs",
-								blk.Height, shards, op, ss.Intra, ss.Cross, len(blk.Txs))
+					}
+				}},
+				{"chain", func(t *testing.T) {
+					for _, shards := range []int{1, 2, 4, 8} {
+						for _, op := range modes {
+							cr, css, err := Sharded{Workers: 8, Shards: shards, OpLevel: op, Depth: 2}.
+								ExecuteChain(pre.Copy(), blocks)
+							if err != nil {
+								t.Fatalf("shards=%d op=%v: %v", shards, op, err)
+							}
+							checkChain(t, fmt.Sprintf("shards=%d op=%v", shards, op), cr, css)
 						}
 					}
-				}
+				}},
+				{"stream", func(t *testing.T) {
+					for _, shards := range []int{2, 8} {
+						for _, op := range modes {
+							cr, css, err := Sharded{Workers: 8, Shards: shards, OpLevel: op, Depth: 2}.
+								ExecuteChainStream(pre.Copy(), feed(blocks), nil)
+							if err != nil {
+								t.Fatalf("shards=%d op=%v: %v", shards, op, err)
+							}
+							checkChain(t, fmt.Sprintf("shards=%d op=%v", shards, op), cr, css)
+						}
+					}
+				}},
+				{"adaptive", func(t *testing.T) {
+					for _, shards := range []int{1, 2, 4, 8} {
+						for _, op := range modes {
+							for _, every := range []int{1, 3} {
+								label := fmt.Sprintf("shards=%d op=%v every=%d", shards, op, every)
+								cr, css, err := adaptiveEngine(shards, op, every).ExecuteChain(pre.Copy(), blocks)
+								if err != nil {
+									t.Fatalf("%s: %v", label, err)
+								}
+								checkChain(t, label, cr, css)
+								if want := (len(blocks) - 1) / every; css.RebalanceEpochs != want {
+									t.Fatalf("%s: %d rebalance epochs, want %d", label, css.RebalanceEpochs, want)
+								}
+								if shards == 1 && css.Migrations != 0 {
+									t.Fatalf("%s: single shard migrated %d keys", label, css.Migrations)
+								}
+							}
+						}
+					}
+				}},
+				{"bounded", func(t *testing.T) {
+					evicted := 0
+					for _, shards := range []int{1, 2, 4} {
+						for _, op := range modes {
+							label := fmt.Sprintf("shards=%d op=%v", shards, op)
+							e := Sharded{Workers: 8, Shards: shards, OpLevel: op, Depth: 2, CacheBudget: 4}
+							ae := Sharded{Workers: 8, OpLevel: op, Depth: 2, CacheBudget: 4,
+								Map: heat.NewAdaptiveMap(shards, nil), RebalanceEvery: 2}
+							chains := []struct {
+								name string
+								run  func(StateBackend) (*ChainResult, *ChainShardStats, error)
+							}{
+								{"batch", func(bs StateBackend) (*ChainResult, *ChainShardStats, error) {
+									return e.withBackend(bs).ExecuteChain(pre.Copy(), blocks)
+								}},
+								{"stream", func(bs StateBackend) (*ChainResult, *ChainShardStats, error) {
+									return e.withBackend(bs).ExecuteChainStream(pre.Copy(), feed(blocks), nil)
+								}},
+								{"adaptive", func(bs StateBackend) (*ChainResult, *ChainShardStats, error) {
+									return ae.withBackend(bs).ExecuteChain(pre.Copy(), blocks)
+								}},
+							}
+							for _, d := range chains {
+								bs := boundedStore(t)
+								cr, css, err := d.run(bs)
+								if err != nil {
+									t.Fatalf("%s %s: %v", d.name, label, err)
+								}
+								checkChain(t, d.name+" "+label, cr, css)
+								if d.name == "batch" {
+									evicted += css.Evicted
+								}
+								bs.Close()
+							}
+						}
+					}
+					if evicted == 0 {
+						t.Fatal("no batch run evicted a single key — the bound is not binding")
+					}
+				}},
+				{"pipeline", func(t *testing.T) {
+					for _, depth := range []int{1, 3} {
+						res, err := Pipeline{Workers: 8, Depth: depth}.ExecuteChain(pre.Copy(), blocks)
+						if err != nil {
+							t.Fatalf("depth %d: %v", depth, err)
+						}
+						seq.RequireChain(t, fmt.Sprintf("depth %d", depth), res.Root, res.Receipts)
+						if res.Stats.Txs > 0 && res.Stats.ParUnits <= 0 {
+							t.Fatalf("depth %d: non-positive ParUnits %d", depth, res.Stats.ParUnits)
+						}
+					}
+				}},
+			}
+			for _, r := range rows {
+				t.Run(r.name, func(t *testing.T) {
+					t.Parallel()
+					r.run(t)
+				})
 			}
 		})
 	}

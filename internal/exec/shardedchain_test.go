@@ -8,45 +8,6 @@ import (
 	"txconcur/internal/exec/testutil"
 )
 
-// TestShardedChainSerialEquivalenceAllProfiles: the pipelined sharded
-// engine must reproduce the sequential chain root and receipts on every
-// account-model chainsim profile, for shard counts {1, 2, 4, 8}, in both
-// key-level and operation-level mode — the acceptance criterion of the
-// E10 experiment.
-func TestShardedChainSerialEquivalenceAllProfiles(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long: all profiles x shard counts x modes")
-	}
-	for _, p := range shardedEquivalenceProfiles() {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			t.Parallel()
-			pre, blocks, err := chainsim.GenerateAccountChain(p, 6, 11)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq := testutil.ReplaySequential(t, pre, blocks)
-			for _, shards := range []int{1, 2, 4, 8} {
-				for _, op := range []bool{false, true} {
-					cr, css, err := Sharded{Workers: 8, Shards: shards, OpLevel: op, Depth: 2}.
-						ExecuteChain(pre.Copy(), blocks)
-					if err != nil {
-						t.Fatalf("shards=%d op=%v: %v", shards, op, err)
-					}
-					if cr.Root != seq.Root() {
-						t.Fatalf("shards=%d op=%v: chain root mismatch (stats %+v)", shards, op, css)
-					}
-					seq.RequireChain(t, p.Name, cr.Root, cr.Receipts)
-					if len(css.Blocks) != len(blocks) {
-						t.Fatalf("shards=%d op=%v: %d block stats, want %d",
-							shards, op, len(css.Blocks), len(blocks))
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestShardedChainFuzzFixtures replays the conflict-heavy fuzz chains —
 // nonce chains, shared-counter contracts, blind writers and readers —
 // through ExecuteChain at several shard counts and depths.

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"testing"
 
 	"txconcur/internal/chainsim"
@@ -63,52 +62,6 @@ func checkShardStats(t *testing.T, label string, txs int, ss *ShardStats, st *St
 		if st.Retries < ss.CrossAborts {
 			t.Fatalf("%s: Retries %d < CrossAborts %d", label, st.Retries, ss.CrossAborts)
 		}
-	}
-}
-
-// TestShardStatsInvariants runs every sharded profile at shard counts
-// {1, 2, 4, 8} in both conflict modes, through both the per-block engine
-// and the pipelined chain, checking the counter invariants on every block.
-func TestShardStatsInvariants(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long: profiles x shard counts x modes x engines")
-	}
-	for _, p := range chainsim.ShardProfiles() {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			t.Parallel()
-			pre, blocks, err := chainsim.GenerateAccountChain(p, 6, 17)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range []int{1, 2, 4, 8} {
-				for _, op := range []bool{false, true} {
-					label := fmt.Sprintf("%s s=%d op=%v", p.Name, shards, op)
-					work := pre.Copy()
-					for bi, blk := range blocks {
-						res, ss, err := Sharded{Workers: 8, Shards: shards, OpLevel: op}.
-							ExecuteSharded(work, blk)
-						if err != nil {
-							t.Fatalf("%s block %d: %v", label, bi, err)
-						}
-						checkShardStats(t, fmt.Sprintf("%s block %d", label, bi), len(blk.Txs), ss, &res.Stats)
-					}
-					cr, css, err := Sharded{Workers: 8, Shards: shards, OpLevel: op, Depth: 2}.
-						ExecuteChain(pre.Copy(), blocks)
-					if err != nil {
-						t.Fatalf("%s chain: %v", label, err)
-					}
-					for bi := range css.Blocks {
-						checkShardStats(t, fmt.Sprintf("%s chain block %d", label, bi),
-							len(blocks[bi].Txs), &css.Blocks[bi], nil)
-					}
-					if cr.Stats.Retries < cr.Stats.Conflicted {
-						t.Fatalf("%s chain: Retries %d < Conflicted %d",
-							label, cr.Stats.Retries, cr.Stats.Conflicted)
-					}
-				}
-			}
-		})
 	}
 }
 

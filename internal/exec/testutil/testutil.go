@@ -58,8 +58,14 @@ func ReplaySequential(tb testing.TB, pre *account.StateDB, blocks []*account.Blo
 	return c
 }
 
-// Root returns the chain root after the last block.
-func (c *Chain) Root() types.Hash { return c.Final.Root() }
+// Root returns the chain root after the last block: the replay's last
+// recorded root, or Final's hash for an empty chain.
+func (c *Chain) Root() types.Hash {
+	if n := len(c.Roots); n > 0 {
+		return c.Roots[n-1]
+	}
+	return c.Final.Root()
+}
 
 // RequireChain asserts that an engine's chain root and per-block receipts
 // match the sequential oracle.

@@ -37,6 +37,12 @@ func TestReplayMatchesSequentialEngine(t *testing.T) {
 		if work.Root() != seq.Root() {
 			t.Fatalf("%s: final roots diverged", p.Name)
 		}
+		if seq.Root() != seq.Final.Root() {
+			t.Fatalf("%s: Root() is not the hash of Final", p.Name)
+		}
+		if empty := testutil.ReplaySequential(t, pre, nil); empty.Root() != pre.Root() {
+			t.Fatalf("%s: empty chain's Root() is not the hash of its unchanged Final", p.Name)
+		}
 	}
 }
 
