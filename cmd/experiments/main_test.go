@@ -48,14 +48,21 @@ func TestRunShardingExecJSON(t *testing.T) {
 	checkRunJSON(t, "shardingexec", "E9", "-execblocks", "1")
 }
 
-// TestRunJSON runs the other recorded-baseline experiments with -json
-// against their docs/bench baselines. adaptiveshard keeps 6 blocks so a
-// rebalance epoch still runs.
+// TestRunJSON runs the other recorded-baseline experiments (E1–E7,
+// E10–E12) with -json against their docs/bench baselines. adaptiveshard
+// keeps 6 blocks so a rebalance epoch still runs.
 func TestRunJSON(t *testing.T) {
 	for _, tc := range []struct {
 		name, baseline string
 		args           []string
 	}{
+		{"exec", "E1", []string{"-execblocks", "1"}},
+		{"sched", "E2", []string{"-execblocks", "1"}},
+		{"approxtdg", "E3", []string{"-execblocks", "1"}},
+		{"interblock", "E4", []string{"-execblocks", "1"}},
+		{"utxoexec", "E5", []string{"-execblocks", "1"}},
+		{"sharding", "E6", []string{"-execblocks", "1"}},
+		{"pipeline", "E7", []string{"-execblocks", "1"}},
 		{"shardedpipeline", "E10", []string{"-execblocks", "1"}},
 		{"adaptiveshard", "E11", []string{"-execblocks", "6"}},
 		{"tracereplay", "E12", nil},
@@ -78,7 +85,7 @@ func checkRunJSON(t *testing.T, name, baseline string, args ...string) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := run(append([]string{"-run", name + "$", "-json"}, args...), &got); err != nil {
+	if err := run(append([]string{"-run", "^" + name + "$", "-json"}, args...), &got); err != nil {
 		t.Fatal(err)
 	}
 	if args == nil {

@@ -92,7 +92,7 @@ func runChain(profile string, blocks, workers int, seed int64) error {
 	t := bench.Table{
 		Title: fmt.Sprintf("%s: pipelined two-phase engine over %d blocks, %d txs (n = %d)",
 			profile, len(chain), seqUnits, workers),
-		Headers: []string{"Depth", "Speed-up", "Gas speed-up", "Reexec", "Mean lag", "Root"},
+		Headers: []string{"Depth", "Speed-up", "Gas speed-up", "Reexec", "Root"},
 	}
 	for _, depth := range []int{1, 2, 4} {
 		res, err := exec.Pipeline{Workers: workers, Depth: depth}.ExecuteChain(pre.Copy(), chain)
@@ -103,16 +103,11 @@ func runChain(profile string, blocks, workers int, seed int64) error {
 		if res.Root == seqRoot {
 			rootState = "= sequential"
 		}
-		lag := 0
-		for _, bs := range res.Blocks {
-			lag += bs.Lag
-		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", depth),
 			fmt.Sprintf("%.2fx", res.Stats.Speedup),
 			fmt.Sprintf("%.2fx", res.Stats.GasSpeedup),
 			fmt.Sprintf("%d/%d", res.Stats.Retries, res.Stats.Txs),
-			fmt.Sprintf("%.2f", float64(lag)/float64(len(res.Blocks))),
 			rootState,
 		})
 	}
