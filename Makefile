@@ -16,7 +16,7 @@ race:
 # critical list survives any future narrowing of the wildcard.
 vet:
 	go vet ./...
-	go vet ./internal/mvstore/... ./internal/stm/... ./internal/exec/... ./internal/core/... ./internal/chainsim/... ./internal/bench/... ./internal/heat/... ./cmd/...
+	go vet ./internal/mvstore/... ./internal/exec/... ./internal/core/... ./internal/chainsim/... ./internal/bench/... ./internal/heat/... ./cmd/...
 
 # txlint: the determinism-and-discipline analyzer suite (tools/lint).
 # Fails on any unwaived finding; -waived lists accepted waivers.

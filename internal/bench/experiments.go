@@ -186,8 +186,8 @@ func replayChain(profile string, pre *account.StateDB, blks []*account.Block) (
 // speed-up is ΣT / ΣT′ over blocks; the pipeline's is ΣT over its
 // two-stage flow-shop makespan, which overlaps validation of block b with
 // execution of block b+1. This is the experiment where the speed-up is no
-// longer bounded by a single global commit lock; every engine's final root
-// is checked against the sequential replay.
+// longer bounded by a barrier at every block; every engine's final root is
+// checked against the sequential replay.
 func PipelineComparison(blocks int, seed int64, profiles []string, cores []int) (Table, error) {
 	t := Table{
 		Name:  "pipeline",
@@ -230,9 +230,7 @@ func PipelineComparison(blocks int, seed int64, profiles []string, cores []int) 
 				grpSeq += grp.Stats.SeqUnits
 				grpPar += grp.Stats.ParUnits
 			}
-			// FixedLag pins the deterministic worst-case snapshot, so the
-			// pipeline columns depend on the workload only, not on timing.
-			pipe, err := exec.Pipeline{Workers: n, Depth: 2, FixedLag: true}.ExecuteChain(pre.Copy(), blks)
+			pipe, err := exec.Pipeline{Workers: n, Depth: 2}.ExecuteChain(pre.Copy(), blks)
 			if err != nil {
 				return t, fmt.Errorf("%s pipeline n=%d: %w", profile, n, err)
 			}
@@ -345,13 +343,13 @@ func OpLevelComparison(blocks int, seed int64, profiles []string, cores []int) (
 					grpPar[mode] += grp.Stats.ParUnits
 				}
 			}
-			// The pipelined engine, whole chain, both modes. FixedLag pins
-			// the deterministic worst-case snapshot so the two modes see
-			// identical schedules and the comparison is noise-free.
+			// The pipelined engine, whole chain, both modes. Its fixed-lag
+			// snapshots give the two modes identical schedules, so the
+			// comparison is noise-free.
 			var pipeSpeed [2]float64
 			for mode := 0; mode < 2; mode++ {
 				op := mode == 1
-				pipe, err := exec.Pipeline{Workers: n, Depth: 2, OpLevel: op, FixedLag: true}.ExecuteChain(pre.Copy(), blks)
+				pipe, err := exec.Pipeline{Workers: n, Depth: 2, OpLevel: op}.ExecuteChain(pre.Copy(), blks)
 				if err != nil {
 					return t, fmt.Errorf("%s pipeline op=%v n=%d: %w", profile, op, n, err)
 				}

@@ -141,7 +141,7 @@ func TraceReplayComparison(seed int64, workers, shards, depth, rebalanceEvery in
 				run func() (*exec.ChainResult, error)
 			}{
 				{3, func() (*exec.ChainResult, error) {
-					return exec.Pipeline{Workers: workers, Depth: depth, OpLevel: op, Cost: rc.TxCost, FixedLag: true}.
+					return exec.Pipeline{Workers: workers, Depth: depth, OpLevel: op, Cost: rc.TxCost}.
 						ExecuteChain(rc.Pre.Copy(), rc.Blocks)
 				}},
 				{4, func() (*exec.ChainResult, error) {

@@ -11,9 +11,10 @@
 //   - Grouped: the TDG/group-concurrency engine the paper's equation (2)
 //     models — connected components are scheduled onto workers (LPT) and
 //     run in parallel, since components share no addresses.
-//   - STMExec: an optimistic engine that commits transactions in block
-//     order through per-key version validation, retrying aborted ones (the
-//     design direction of Dickerson et al. [6] and of later systems such as
+//   - STMExec: an optimistic engine that speculates in windows of n
+//     transactions and commits them in block order, retrying those whose
+//     reads an earlier commit of the window invalidated (the design
+//     direction of Dickerson et al. [6] and of later systems such as
 //     Block-STM).
 //   - Pipeline: the Octopus-style two-phase engine over the multi-version
 //     cache of package mvstore — optimistic execution against pinned
@@ -405,6 +406,21 @@ func (o *overlay) applyTo(dst account.State) {
 			dst.SetStorage(a, e.key.Slot, e.num)
 		}
 	}
+}
+
+// stateVal is the uniform cell type of the multi-version stores: exactly
+// one of the fields is meaningful for a given key kind.
+type stateVal struct {
+	i64   int64  // balances
+	u64   uint64 // nonces, storage
+	bytes []byte // code
+}
+
+// mergeStateVal folds a balance delta onto a state cell; only the i64
+// (balance) field is ever delta-written.
+func mergeStateVal(onto, delta stateVal) stateVal {
+	onto.i64 += delta.i64
+	return onto
 }
 
 // mvWrite converts a buffered value into the multi-version store's write

@@ -37,9 +37,12 @@ type Pipeline struct {
 	Workers int
 	// Depth is the buffer between the phases: phase 1 may hold Depth
 	// completed blocks awaiting validation, plus the one it is currently
-	// executing, so snapshots can be up to Depth+1 blocks stale. 0 means
-	// 1. Deeper lookahead buys more overlap at the price of staler
-	// snapshots (more re-executions).
+	// executing. Block i speculates against the fixed-lag timestamp
+	// max(0, i−Depth−1), the newest state the channel backpressure
+	// guarantees is committed, so snapshots are up to Depth+1 blocks stale
+	// and re-execution counts and ParUnits depend on the workload only,
+	// never on scheduler timing. 0 means 1. Deeper lookahead buys more
+	// overlap at the price of staler snapshots (more re-executions).
 	Depth int
 	// OpLevel records balance credits/debits as commutative deltas: blind
 	// credits carry no read of the hot key, so they neither fail validation
@@ -50,15 +53,6 @@ type Pipeline struct {
 	// explicit balance read still materialises every committed delta and
 	// re-establishes the dependency.
 	OpLevel bool
-	// FixedLag makes phase-1 snapshots deterministic: block i speculates
-	// against timestamp max(0, i−Depth−1) — the worst-case lag the channel
-	// backpressure guarantees is already committed — instead of whatever
-	// the committer happens to have finished (PinLatest). Re-execution
-	// counts and ParUnits then depend only on the workload, never on
-	// scheduler timing; E8 uses this so its key-level vs operation-level
-	// pipeline columns are exactly comparable. Slightly pessimistic: the
-	// adaptive default usually observes a smaller lag.
-	FixedLag bool
 	// Cost overrides the per-transaction schedule weight used for the
 	// GasSeq/GasPar accounting; nil charges the receipt's gas.
 	Cost CostModel
@@ -248,21 +242,12 @@ func (e Pipeline) ExecuteChain(st *account.StateDB, blocks []*account.Block) (*C
 	go func() {
 		defer close(specCh)
 		for i, blk := range blocks {
-			var snap *mvstore.Snapshot[StateKey, stateVal]
-			if e.FixedLag {
-				// Deterministic pessimistic snapshot. When stage 1 starts
-				// block i it has pushed blocks 0..i−1 through a channel of
-				// capacity depth, so stage 2 has received at least i−depth
-				// of them and committed all but its current one: timestamp
-				// i−depth−1 is guaranteed durable.
-				ts := 0
-				if i > depth {
-					ts = i - depth - 1
-				}
-				snap = mv.PinAt(uint64(ts))
-			} else {
-				snap = mv.PinLatest()
-			}
+			// Deterministic pessimistic snapshot. When stage 1 starts block
+			// i it has pushed blocks 0..i−1 through a channel of capacity
+			// depth, so stage 2 has received at least i−depth of them and
+			// committed all but its current one: timestamp i−depth−1 is
+			// guaranteed durable.
+			snap := mv.PinAt(uint64(max(0, i-depth-1)))
 			ss := &snapState{base: st, snap: snap}
 			x := len(blk.Txs)
 			sb := specBlock{
@@ -385,20 +370,11 @@ func (e Pipeline) ExecuteChain(st *account.StateDB, blocks []*account.Block) (*C
 		}
 		acc.release()
 		sb.snap.Release()
-		// Epoch GC: reclaim versions no live snapshot can observe. In
-		// fixed-lag mode the horizon must stop at the oldest timestamp a
-		// *future* pin may still request (block j ≥ idx+1 pins j−depth−1):
-		// PinAt cannot resurrect collected versions, and a freer horizon
-		// would reintroduce exactly the scheduling-dependent phase-1 reads
-		// FixedLag exists to eliminate.
-		horizon := commitTS
-		if e.FixedLag {
-			horizon = 0
-			if commitTS > uint64(depth)+1 {
-				horizon = commitTS - uint64(depth) - 1
-			}
-		}
-		mv.TruncateBelow(horizon)
+		// Epoch GC: reclaim versions no snapshot can observe. The horizon
+		// stops at the oldest timestamp a *future* pin may still request
+		// (block j ≥ idx+1 pins j−depth−1): PinAt cannot resurrect
+		// collected versions.
+		mv.TruncateBelow(uint64(max(0, sb.idx-depth)))
 
 		all[sb.idx] = receipts
 		gasBlock := costSum(e.Cost, blk.Txs, receipts)

@@ -80,9 +80,9 @@ type Sharded struct {
 	SequentialMerge bool
 	// Depth is the pipeline lookahead of ExecuteChain in blocks: phase 1
 	// may run up to Depth blocks ahead of the cross-shard commit, against
-	// per-shard snapshots pinned at the deterministic fixed-lag timestamp
-	// (the Pipeline.FixedLag discipline). 0 means 1. Ignored by the
-	// per-block Execute/ExecuteSharded.
+	// per-shard snapshots pinned at the deterministic fixed-lag timestamp,
+	// as Pipeline's are. 0 means 1. Ignored by the per-block
+	// Execute/ExecuteSharded.
 	Depth int
 	// Map overrides the address→shard assignment. nil means the static
 	// FNV-1a baseline over Shards committees (core.StaticShardMap); when

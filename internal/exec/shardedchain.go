@@ -19,7 +19,7 @@ import (
 // persistent multi-version store; a block commits its writes — partitioned
 // by the engine's shard map — to every shard's store at the next logical
 // timestamp, and phase 1 speculates against per-shard snapshots pinned at
-// the deterministic fixed-lag timestamp (the Pipeline.FixedLag discipline):
+// the deterministic fixed-lag timestamp, as Pipeline's phase 1 does:
 // re-execution counts and ParUnits depend only on the workload, never on
 // scheduler timing.
 //
@@ -342,7 +342,7 @@ func (e Sharded) runShardedEpoch(c *shardedChain, src epochSource,
 			if !ok {
 				return
 			}
-			// Deterministic pessimistic snapshot (Pipeline.FixedLag): when
+			// Deterministic pessimistic snapshot, as in Pipeline: when
 			// stage 1 starts the epoch's rel-th block it has pushed the
 			// previous rel blocks through a channel of capacity depth, so
 			// stage 2 has received at least rel−depth of them and committed

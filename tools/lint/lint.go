@@ -269,7 +269,6 @@ var deterministicPackages = map[string]bool{
 var lockedPackages = map[string]bool{
 	"txconcur/internal/mvstore":   true,
 	"txconcur/internal/mempool":   true,
-	"txconcur/internal/stm":       true,
 	"txconcur/internal/client":    true,
 	"txconcur/internal/wal":       true,
 	"txconcur/internal/basestore": true,
