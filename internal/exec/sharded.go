@@ -21,19 +21,22 @@ import (
 // (core.StaticShardMap / core.ShardOf), and whose adaptive variant
 // (internal/heat.AdaptiveMap) learns conflict heat across blocks and
 // rebalances between them — each shard runs
-// its intra-shard sub-block on its own speculative two-phase worker pipeline
-// (the per-shard instance of the Saraph–Herlihy scheme the other engines
-// use), and — unlike Zilliqa — cross-shard transactions are *handled*, by a
-// deterministic two-phase cross-shard commit:
+// its intra-shard sub-block on its own two-phase worker pipeline (the
+// Saraph–Herlihy split per shard: a parallel speculative phase over ⌈n/s⌉
+// workers, then an ordered commit that validates each transaction's reads
+// in block order against the actual writes committed before it, as
+// Pipeline does), and — unlike Zilliqa — cross-shard transactions are
+// *handled*, by a deterministic two-phase cross-shard commit:
 //
 //   - Phase 1 (parallel, per shard): every transaction executes on a
 //     recording overlay against the pinned pre-block state. Transactions
 //     whose access set stays inside their home shard are committed
-//     shard-locally (winners apply, intra-shard conflicts re-execute in
-//     block order against the shard's staged prefix). Transactions that
-//     touched foreign-shard state — or whose phase-1 access set overlaps an
-//     earlier cross-shard transaction's writes — stage their read/write
-//     sets for phase 2 instead.
+//     shard-locally, in block order: one whose reads miss the shard's
+//     earlier commits keeps its phase-1 result, the others re-execute
+//     against the shard's staged prefix. Transactions that touched
+//     foreign-shard state — or whose phase-1 access set overlaps an earlier
+//     cross-shard transaction's writes — stage their read/write sets for
+//     phase 2 instead.
 //   - Phase 2 (deterministic, in block order): the cross-shard commit
 //     validates each staged transaction's reads against the per-shard
 //     commits and the earlier cross-shard writes. Runs of clean staged
@@ -63,7 +66,7 @@ type Sharded struct {
 	// reported speed-up never exceeds what n cores could deliver.
 	Workers int
 	// Shards is the committee count s; values below 1 mean 1 (a single
-	// shard degenerates to a speculative two-phase engine).
+	// shard has no cross-shard commit: its ExecuteChain is Pipeline).
 	Shards int
 	// OpLevel enables operation-level conflict refinement: balance credits
 	// and debits are recorded as commutative deltas. Deltas merge within a
@@ -435,17 +438,21 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 	}
 
 	// Phase 2a: per-shard in-order commit of the intra-shard sub-blocks,
-	// all shards in parallel. Winners (intra transactions that pass the
-	// shard-local symmetric conflict rule) apply their phase-1 overlays in
-	// block order; binned ones re-execute against the shard's staged
-	// prefix. A re-execution that leaves the shard — or fails — is handed
-	// to the cross-shard commit: the shard prefix is not the sequential
-	// prefix, so neither its access set nor its error is authoritative.
+	// all shards in parallel, each with Pipeline's validator. A shard walks
+	// its intra transactions in block order; one keeps its phase-1 result
+	// unless phase 1 failed or it read a key in the shard's written set —
+	// the actual writes and deltas of the shard's earlier commits, winners
+	// and re-executions alike — and otherwise re-executes against the
+	// shard's staged prefix. Checking reads in order against actual writes
+	// is serially equivalent on its own, so no winner can hold a result a
+	// re-execution made stale. A re-execution that leaves the shard — or
+	// fails — is handed to the cross-shard commit: the shard prefix is not
+	// the sequential prefix, so neither its access set nor its error is
+	// authoritative.
 	type shardOutcome struct {
-		acc      *overlay
-		binned   int
-		gasBin   uint64 // gas of the shard-local sequential re-executions
-		staleMin int    // smallest winner index holding a stale result; -1 if none
+		acc    *overlay
+		binned int
+		gasBin uint64 // gas of the shard-local sequential re-executions
 	}
 	final := make([]*overlay, x) // committed results, by tx index
 	receipts := make([]*account.Receipt, x)
@@ -457,7 +464,6 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 	outcomes := make([]shardOutcome, shards)
 	parallelFor(shards, shards, func(sh int) {
 		out := &outcomes[sh]
-		out.staleMin = -1
 		// Cross-block staleness of the shard's phase-1 results, intra and
 		// cross alike (phase 2b reads failed[] only after every shard is
 		// done).
@@ -474,82 +480,42 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 				}
 			}
 		}
-		// Shard-local conflict detection over the intra candidates.
-		intra := make([]*overlay, 0, len(sp.byShard[sh]))
-		for _, i := range sp.byShard[sh] {
-			if !cross[i] {
-				intra = append(intra, overlays[i])
-			}
-		}
-		ac := countAccesses(intra)
-		acc := newAccumulator(base, e.OpLevel, accKeysPerTx*len(intra))
+		acc := newAccumulator(base, e.OpLevel, accKeysPerTx*len(sp.byShard[sh]))
 		out.acc = acc
-		// p2min[k] is the smallest binned index that wrote k during this
-		// shard's re-executions — the winner-staleness probe of the
-		// speculative scheme, applied per shard.
-		p2min := make(map[StateKey]int)
-		logW := func(o *overlay, i int) {
-			for k := range o.writes() {
-				if _, seen := p2min[k]; !seen {
-					p2min[k] = i
-				}
-			}
-			for a := range o.deltas() {
-				k := deltaKey(a)
-				if _, seen := p2min[k]; !seen {
-					p2min[k] = i
-				}
-			}
-		}
+		written := make(map[StateKey]struct{})
 		for _, i := range sp.byShard[sh] {
 			if cross[i] {
 				continue
 			}
-			o := overlays[i]
-			if !failed[i] && !o.conflicted(ac) {
-				o.applyTo(acc)
-				final[i] = o
+			f := overlays[i]
+			ok := !failed[i]
+			if ok {
+				for k := range f.reads() {
+					if _, hit := written[k]; hit {
+						ok = false
+						break
+					}
+				}
+			}
+			if ok {
 				receipts[i] = p1rcpt[i]
-				continue
-			}
-			out.binned++
-			reexecuted[i] = true
-			ro := newOverlayOp(acc, e.OpLevel)
-			rcpt, err := procDeferred.ApplyTransaction(ro, blk, blk.Txs[i])
-			if err != nil || touchesForeign(ro, sh, m) {
-				cross[i] = true
-				continue
-			}
-			receipts[i] = rcpt
-			out.gasBin += costOf(e.Cost, blk.Txs[i], rcpt)
-			logW(ro, i)
-			ro.applyTo(acc)
-			final[i] = ro
-		}
-		// Winner staleness: a shard-local bin re-execution may write keys
-		// phase 1 never saw it write; any winner ordered after such a write
-		// holds a stale result. The smallest such winner index bounds the
-		// repair suffix.
-		if len(p2min) > 0 {
-			for _, i := range sp.byShard[sh] {
-				if cross[i] || final[i] == nil || final[i] != overlays[i] {
+			} else {
+				out.binned++
+				reexecuted[i] = true
+				ro := newOverlayOp(acc, e.OpLevel)
+				rcpt, err := procDeferred.ApplyTransaction(ro, blk, blk.Txs[i])
+				if err != nil || touchesForeign(ro, sh, m) {
+					cross[i] = true
 					continue
 				}
-				o := overlays[i]
-				isStale := false
-				for k := range o.reads() {
-					if j, ok := p2min[k]; ok && j < i {
-						isStale = true
-					}
-				}
-				for k := range o.writes() {
-					if j, ok := p2min[k]; ok && j < i {
-						isStale = true
-					}
-				}
-				if isStale && (out.staleMin < 0 || i < out.staleMin) {
-					out.staleMin = i
-				}
+				receipts[i] = rcpt
+				out.gasBin += costOf(e.Cost, blk.Txs[i], rcpt)
+				f = ro
+			}
+			f.applyTo(acc)
+			final[i] = f
+			for k := range f.keysWith(ovWrote | ovDelta) {
+				written[k] = struct{}{}
 			}
 		}
 	})
@@ -560,11 +526,6 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 	bump := func(p int) {
 		if p < repairFrom {
 			repairFrom = p
-		}
-	}
-	for sh := range outcomes {
-		if v := outcomes[sh].staleMin; v >= 0 {
-			bump(v)
 		}
 	}
 

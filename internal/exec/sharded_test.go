@@ -11,6 +11,7 @@ import (
 	"txconcur/internal/exec/testutil"
 	"txconcur/internal/heat"
 	"txconcur/internal/types"
+	"txconcur/internal/vm"
 )
 
 // shardedEquivalenceProfiles is the profile set the acceptance criterion
@@ -418,10 +419,9 @@ func TestShardedChainReplay(t *testing.T) {
 	}
 }
 
-// TestShardedGasAccountsForBins: GasPar must include the shard-local bin's
-// sequential gas, matching the speculative engine's gas model — an earlier
-// version charged only the phase-1 spread and overstated gas speed-ups on
-// conflicted workloads.
+// TestShardedGasAccountsForBins: GasPar must include the shard-local
+// re-executions' sequential gas — an earlier version charged only the
+// phase-1 spread and overstated gas speed-ups on conflicted workloads.
 func TestShardedGasAccountsForBins(t *testing.T) {
 	hot := types.AddressFromUint64("gasbin/sink", 0)
 	st := account.NewStateDB()
@@ -440,9 +440,9 @@ func TestShardedGasAccountsForBins(t *testing.T) {
 		Coinbase: types.AddressFromUint64("gasbin/miner", 0),
 		Txs:      txs,
 	}
-	// Key-level, one shard: every transaction collides on the hot balance
-	// and re-executes in the shard bin, so the sequential gas term must
-	// push GasPar past the pure phase-1 spread.
+	// Key-level, one shard: every transaction reads the hot balance, so the
+	// first keeps its phase-1 result and each later one reads the previous
+	// commit's write and re-executes in order.
 	res, ss, err := Sharded{Workers: 8, Shards: 1}.ExecuteSharded(st.Copy(), blk)
 	if err != nil {
 		t.Fatal(err)
@@ -455,13 +455,145 @@ func TestShardedGasAccountsForBins(t *testing.T) {
 		t.Fatalf("GasPar %d not above phase-1 spread %d despite %d binned txs",
 			res.Stats.GasPar, spread, res.Stats.Conflicted)
 	}
-	// Same schedule as the speculative engine: gas models must agree.
-	spec, err := Speculative{Workers: 8}.Execute(st.Copy(), blk)
+	// ⌈16·21000/8⌉ for phase 1, then 15 sequential re-executions.
+	if res.Stats.Conflicted != 15 || res.Stats.GasPar != (16*21000+7)/8+15*21000 {
+		t.Fatalf("Conflicted %d, GasPar %d; want 15, %d",
+			res.Stats.Conflicted, res.Stats.GasPar, (16*21000+7)/8+15*21000)
+	}
+	// One shard is the pipeline: the same schedule and the same result.
+	pipe, err := Pipeline{Workers: 8}.Execute(st.Copy(), blk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.GasPar != spec.Stats.GasPar {
-		t.Fatalf("single-shard GasPar %d != speculative GasPar %d", res.Stats.GasPar, spec.Stats.GasPar)
+	if pipe.Root != res.Root || pipe.Stats.Conflicted != res.Stats.Conflicted ||
+		pipe.Stats.ParUnits != res.Stats.ParUnits || pipe.Stats.GasPar != res.Stats.GasPar {
+		t.Fatalf("pipeline %+v differs from single-shard %+v", pipe.Stats, res.Stats)
+	}
+}
+
+// pointerCode is a contract whose storage write follows a pointer: Arg 0
+// writes storage[storage[0]] = caller; 0 < Arg < 1000 rewrites the pointer,
+// storage[0] = Arg; Arg ≥ 1000 copies storage[Arg−1000] into
+// storage[caller].
+func pointerCode() []byte {
+	asm := vm.NewAsm().
+		Op(vm.OpArg, vm.OpIsZero).PushLabel("follow").Op(vm.OpJumpI).
+		Op(vm.OpArg).Push(1000).Op(vm.OpLT).PushLabel("point").Op(vm.OpJumpI).
+		Op(vm.OpCaller, vm.OpArg).Push(1000).Op(vm.OpSub, vm.OpSload, vm.OpSstore, vm.OpStop).
+		Label("point").
+		Push(0).Op(vm.OpArg, vm.OpSstore, vm.OpStop).
+		Label("follow").
+		Push(0).Op(vm.OpSload, vm.OpCaller, vm.OpSstore, vm.OpStop)
+	return vm.EncodeContract(vm.Contract{Code: asm.Bytes()})
+}
+
+// TestShardedReexecWritesUnpredictedSlot: a re-execution may write a key
+// its phase-1 run never touched, and a later transaction that read that key
+// must not keep its phase-1 result. tx 0 moves the pointer from slot 10 to
+// slot 20; tx 1 follows it, so phase 1 predicts a write to slot 10 but its
+// re-execution writes slot 20; tx 2 reads slot 20. Every sender shares the
+// contract's shard, so all three are intra-shard at one and two shards.
+func TestShardedReexecWritesUnpredictedSlot(t *testing.T) {
+	ptr := addr(700)
+	var senders []uint64
+	for i := uint64(0); len(senders) < 3; i++ {
+		if core.ShardOf(addr(i), 2) == core.ShardOf(ptr, 2) {
+			senders = append(senders, i)
+		}
+	}
+	st := fundedState(int(senders[2]) + 1)
+	st.SetCode(ptr, pointerCode())
+	st.SetStorage(ptr, 0, 10)
+	st.DiscardJournal()
+	call := func(from, arg uint64) *account.Transaction {
+		return &account.Transaction{From: addr(from), To: ptr, Arg: arg, GasLimit: 1_000_000, GasPrice: 1}
+	}
+	blk := testBlock(call(senders[0], 20), call(senders[1], 0), call(senders[2], 1020))
+	seq, err := Sequential(st.Copy(), blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		for _, op := range []bool{false, true} {
+			e := Sharded{Workers: 4, Shards: shards, OpLevel: op}
+			res, ss, err := e.ExecuteSharded(st.Copy(), blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cr, _, err := e.ExecuteChain(st.Copy(), []*account.Block{blk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range []struct {
+				name     string
+				root     types.Hash
+				receipts []*account.Receipt
+				stats    Stats
+			}{
+				{"block", res.Root, res.Receipts, res.Stats},
+				{"chain", cr.Root, cr.Receipts[0], cr.Stats},
+			} {
+				if got.root != seq.Root {
+					t.Fatalf("shards=%d op=%v %s: root differs from sequential", shards, op, got.name)
+				}
+				for i, want := range seq.Receipts {
+					if r := got.receipts[i]; r.GasUsed != want.GasUsed || r.Status != want.Status {
+						t.Fatalf("shards=%d op=%v %s: tx %d receipt mismatch", shards, op, got.name, i)
+					}
+				}
+				// tx 0 keeps its result; tx 1 read the pointer tx 0 wrote,
+				// tx 2 the slot tx 1's re-execution wrote.
+				if got.stats.Conflicted != 2 {
+					t.Fatalf("shards=%d op=%v %s: Conflicted %d, want 2", shards, op, got.name, got.stats.Conflicted)
+				}
+			}
+			if ss.Cross != 0 || ss.Repairs != 0 {
+				t.Fatalf("shards=%d op=%v: %+v, want every tx intra and no repair", shards, op, ss)
+			}
+		}
+	}
+}
+
+// TestShardedClassificationFixpoint: an intra-shard transaction ordered
+// after a cross-shard write it reads joins the cross set, so the merge
+// orders it instead of the repair pass. s→r crosses from shard 0 into
+// shard 1; r→d then stays inside shard 1 but reads the balance s credits.
+func TestShardedClassificationFixpoint(t *testing.T) {
+	pick := func(prefix string, shard int) types.Address {
+		for i := uint64(0); ; i++ {
+			if a := types.AddressFromUint64(prefix, i); core.ShardOf(a, 2) == shard {
+				return a
+			}
+		}
+	}
+	s, r, d := pick("fixpoint/s", 0), pick("fixpoint/r", 1), pick("fixpoint/d", 1)
+	st := account.NewStateDB()
+	st.AddBalance(s, 1_000_000)
+	st.AddBalance(r, 1_000_000)
+	st.DiscardJournal()
+	blk := &account.Block{
+		Height: 1, Time: 1_600_000_000,
+		Coinbase: types.AddressFromUint64("fixpoint/miner", 0),
+		Txs: []*account.Transaction{
+			{From: s, To: r, Value: 500, GasLimit: account.GasTx, GasPrice: 1},
+			{From: r, To: d, Value: 700, GasLimit: account.GasTx, GasPrice: 1},
+		},
+	}
+	seq, err := Sequential(st.Copy(), blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []bool{false, true} {
+		res, ss, err := Sharded{Workers: 4, Shards: 2, OpLevel: op}.ExecuteSharded(st.Copy(), blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Root != seq.Root {
+			t.Fatalf("op=%v: root differs from sequential", op)
+		}
+		if ss.Cross != 2 || ss.Repairs != 0 {
+			t.Fatalf("op=%v: Cross %d, Repairs %d; want 2, 0", op, ss.Cross, ss.Repairs)
+		}
 	}
 }
 

@@ -479,11 +479,7 @@ func (e Sharded) runShardedEpoch(c *shardedChain, src epochSource,
 		c.css.add(out.ss)
 		x := len(blk.Txs)
 		gasBlock := costSum(e.Cost, blk.Txs, out.receipts)
-		c.blockStats = append(c.blockStats, BlockStats{
-			Txs:        x,
-			Reexecuted: out.conflicted,
-			Lag:        int(commitTS-1) - int(specTS),
-		})
+		c.blockStats = append(c.blockStats, BlockStats{Txs: x, Reexecuted: out.conflicted})
 		// Two-stage flow shop: machine 1 is the per-shard speculative
 		// spread (overlappable with the previous block's commit), machine 2
 		// everything ordered — shard bins, merge waves, repairs. The two
@@ -630,4 +626,104 @@ func (e Sharded) migrateShards(c *shardedChain, moves []core.ShardMove) {
 		c.css.MigrationUnits += mu
 		c.parUnits += mu
 	}
+}
+
+// snapState adapts a multi-version snapshot layered over an immutable base
+// — the pre-chain StateDB, or (in a bounded sharded chain) a backedState
+// reading through the disk base layer first — to the account.State reads.
+// All execution writes go through recording overlays, never through their
+// base, so the mutators panic to surface any violation of that invariant.
+type snapState struct {
+	base baseState
+	snap *mvstore.Snapshot[StateKey, stateVal]
+}
+
+var _ account.State = (*snapState)(nil)
+
+// GetBalance implements vm.State. Balances resolve through the version
+// chain: committed delta versions fold onto the newest absolute version, or
+// onto the base state's balance when the chain holds only deltas.
+func (s *snapState) GetBalance(a types.Address) int64 {
+	k := StateKey{Kind: kindBalance, Addr: a}
+	return s.snap.Resolve(k, stateVal{i64: s.base.GetBalance(a)}).i64
+}
+
+// GetNonce implements account.State.
+func (s *snapState) GetNonce(a types.Address) uint64 {
+	if v, ok := s.snap.Get(StateKey{Kind: kindNonce, Addr: a}); ok {
+		return v.u64
+	}
+	return s.base.GetNonce(a)
+}
+
+// GetCode implements vm.State.
+func (s *snapState) GetCode(a types.Address) []byte {
+	if v, ok := s.snap.Get(StateKey{Kind: kindCode, Addr: a}); ok {
+		return v.bytes
+	}
+	return s.base.GetCode(a)
+}
+
+// GetStorage implements vm.State.
+func (s *snapState) GetStorage(a types.Address, slot uint64) uint64 {
+	if v, ok := s.snap.Get(StateKey{Kind: kindStorage, Addr: a, Slot: slot}); ok {
+		return v.u64
+	}
+	return s.base.GetStorage(a, slot)
+}
+
+// Snapshot implements vm.State; snapshots of an immutable view are free.
+func (s *snapState) Snapshot() int { return 0 }
+
+// RevertToSnapshot implements vm.State; nothing was written, nothing to do.
+func (s *snapState) RevertToSnapshot(int) {}
+
+func (s *snapState) AddBalance(types.Address, int64) { panic("exec: write to mv snapshot") }
+func (s *snapState) SubBalance(types.Address, int64) { panic("exec: write to mv snapshot") }
+func (s *snapState) SetNonce(types.Address, uint64)  { panic("exec: write to mv snapshot") }
+func (s *snapState) SetCode(types.Address, []byte)   { panic("exec: write to mv snapshot") }
+func (s *snapState) SetStorage(types.Address, uint64, uint64) {
+	panic("exec: write to mv snapshot")
+}
+
+// foldResolvedInto returns a RangeLatestResolved callback that folds a
+// multi-version store's newest values into the given state database.
+// Anchored chains materialise to absolute values; a balance that was only
+// ever delta-written resolves to its accumulated delta, applied on top of
+// the base balance in st. finishChain folds every shard's store with it.
+func foldResolvedInto(st *account.StateDB) func(k StateKey, v stateVal, anchored bool) bool {
+	return func(k StateKey, v stateVal, anchored bool) bool {
+		switch {
+		case k.Kind == kindBalance && !anchored:
+			st.AddBalance(k.Addr, v.i64)
+		case k.Kind == kindBalance:
+			st.AddBalance(k.Addr, v.i64-st.GetBalance(k.Addr))
+		case k.Kind == kindNonce:
+			st.SetNonce(k.Addr, v.u64)
+		case k.Kind == kindCode:
+			st.SetCode(k.Addr, v.bytes)
+		case k.Kind == kindStorage:
+			st.SetStorage(k.Addr, k.Slot, v.u64)
+		}
+		return true
+	}
+}
+
+// flowShopMakespan is the classic two-machine flow-shop completion-time
+// recurrence with a fixed job order: machine 1 (speculative execution)
+// processes blocks back to back; machine 2 (validation/re-execution) starts
+// block b as soon as both machine 1 finished b and machine 2 finished b-1.
+// This is exactly the pipeline's schedule length under the paper's
+// unit-cost model (or gas-weighted costs): validation of block b overlaps
+// execution of block b+1.
+func flowShopMakespan[T int | uint64](p1, p2 []T) T {
+	var c1, c2 T
+	for i := range p1 {
+		c1 += p1[i]
+		if c1 > c2 {
+			c2 = c1
+		}
+		c2 += p2[i]
+	}
+	return c2
 }
