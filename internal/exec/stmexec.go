@@ -58,6 +58,7 @@ func (e STMExec) Execute(st *account.StateDB, blk *account.Block) (*Result, erro
 
 	retries := 0
 	parUnits := 0
+	var gasRetried uint64
 	for lo := 0; lo < x; lo += e.Workers {
 		window := blk.Txs[lo:min(lo+e.Workers, x)]
 		parUnits++
@@ -92,6 +93,7 @@ func (e STMExec) Execute(st *account.StateDB, blk *account.Block) (*Result, erro
 				receipts[lo+i] = rcpt
 				retries++
 				parUnits++
+				gasRetried += costOf(e.Cost, tx, rcpt)
 			}
 			o.applyTo(acc)
 			for k := range o.keysWith(ovWrote | ovDelta) {
@@ -112,9 +114,10 @@ func (e STMExec) Execute(st *account.StateDB, blk *account.Block) (*Result, erro
 		SeqUnits:   x,
 		ParUnits:   parUnits,
 		GasSeq:     gasSeq,
-		// Unit cost is the primary model; the gas schedule is estimated
-		// as GasSeq/Workers, without the retries.
-		GasPar:  ceilDivU(gasSeq, uint64(e.Workers)),
+		// The speculation spread over the workers, then every retry
+		// sequentially at its commit point — the charge Speculative and
+		// Pipeline make for phase 1 and re-execution.
+		GasPar:  ceilDivU(gasSeq, uint64(e.Workers)) + gasRetried,
 		Retries: retries,
 		//txlint:clock wall-clock timing metric only
 		Wall: time.Since(start),

@@ -74,4 +74,13 @@ func TestSTMExecRetries(t *testing.T) {
 			}
 		})
 	}
+	// GasPar is the window's gas spread over the workers plus each retry's
+	// gas: ⌈2·21000/2⌉, then one 21000-gas retry.
+	res, err := STMExec{Workers: 2}.Execute(st.Copy(), testBlock(transfer(0, 5, 0, 100), transfer(5, 6, 0, 100)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Retries != 1 || res.Stats.GasPar != 2*account.GasTx {
+		t.Fatalf("retries %d, GasPar %d; want 1, %d", res.Stats.Retries, res.Stats.GasPar, 2*account.GasTx)
+	}
 }
