@@ -24,9 +24,9 @@ import (
 // its intra-shard sub-block on its own two-phase worker pipeline (the
 // Saraph–Herlihy split per shard: a parallel speculative phase over ⌈n/s⌉
 // workers, then an ordered commit that validates each transaction's reads
-// in block order against the actual writes committed before it, as
-// Pipeline does), and — unlike Zilliqa — cross-shard transactions are
-// *handled*, by a deterministic two-phase cross-shard commit:
+// in block order against the actual writes committed before it), and —
+// unlike Zilliqa — cross-shard transactions are *handled*, by a
+// deterministic two-phase cross-shard commit:
 //
 //   - Phase 1 (parallel, per shard): every transaction executes on a
 //     recording overlay against the pinned pre-block state. Transactions
@@ -83,9 +83,8 @@ type Sharded struct {
 	SequentialMerge bool
 	// Depth is the pipeline lookahead of ExecuteChain in blocks: phase 1
 	// may run up to Depth blocks ahead of the cross-shard commit, against
-	// per-shard snapshots pinned at the deterministic fixed-lag timestamp,
-	// as Pipeline's are. 0 means 1. Ignored by the per-block
-	// Execute/ExecuteSharded.
+	// per-shard snapshots pinned at the deterministic fixed-lag timestamp.
+	// 0 means 1. Ignored by the per-block Execute/ExecuteSharded.
 	Depth int
 	// Map overrides the address→shard assignment. nil means the static
 	// FNV-1a baseline over Shards committees (core.StaticShardMap); when
@@ -438,12 +437,11 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 	}
 
 	// Phase 2a: per-shard in-order commit of the intra-shard sub-blocks,
-	// all shards in parallel, each with Pipeline's validator. A shard walks
-	// its intra transactions in block order; one keeps its phase-1 result
-	// unless phase 1 failed or it read a key in the shard's written set —
-	// the actual writes and deltas of the shard's earlier commits, winners
-	// and re-executions alike — and otherwise re-executes against the
-	// shard's staged prefix. Checking reads in order against actual writes
+	// all shards in parallel. A shard walks its intra transactions in
+	// block order; one keeps its phase-1 result unless phase 1 failed or
+	// it read a key in the shard's written set — the actual writes and
+	// deltas of the shard's earlier commits, winners and re-executions
+	// alike — and otherwise re-executes against the shard's staged prefix. Checking reads in order against actual writes
 	// is serially equivalent on its own, so no winner can hold a result a
 	// re-execution made stale. A re-execution that leaves the shard — or
 	// fails — is handed to the cross-shard commit: the shard prefix is not
