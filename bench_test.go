@@ -373,35 +373,12 @@ func BenchmarkShardedExecution(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedMerge isolates the cross-shard commit on a cross-heavy
-// workload: the same blocks run with the strictly sequential merge
-// (SequentialMerge: one transaction per wave and group) and with the
-// batched/parallel merge, so the wall-time delta is attributable to the
-// merge alone — phase 1, classification and the per-shard commits are
-// identical. Profile the hot path with
-// `go run ./cmd/experiments -run shardedpipeline -cpuprofile cpu.out`.
-func BenchmarkShardedMerge(b *testing.B) {
-	pre, blocks := shardedChainFixture(b)
-	for _, tc := range []struct {
-		name string
-		seq  bool
-	}{{"sequential", true}, {"parallel", false}} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				work := pre.Copy()
-				for _, blk := range blocks {
-					e := exec.Sharded{Workers: 8, Shards: 4, SequentialMerge: tc.seq}
-					if _, _, err := e.ExecuteSharded(work, blk); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkShardedChain measures the pipelined sharded chain end to end,
 // per-block execution vs ExecuteChain, on the same cross-heavy history.
+// one-shard is the pipelined two-phase engine, Sharded{Shards: 1}: every
+// transaction is intra-shard and the cross-shard merge never runs.
+// Profile the hot path with
+// `go run ./cmd/experiments -run shardedpipeline -cpuprofile cpu.out`.
 func BenchmarkShardedChain(b *testing.B) {
 	pre, blocks := shardedChainFixture(b)
 	b.Run("per-block", func(b *testing.B) {
@@ -417,6 +394,13 @@ func BenchmarkShardedChain(b *testing.B) {
 	b.Run("pipelined", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := (exec.Sharded{Workers: 8, Shards: 4, Depth: 2}).ExecuteChain(pre.Copy(), blocks); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("one-shard", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := (exec.Sharded{Workers: 8, Shards: 1, Depth: 2}).ExecuteChain(pre.Copy(), blocks); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -13,16 +13,16 @@
 // going beyond the paper — working parallel execution engines that validate
 // the model.
 //
-// Six execution engines are implemented — sequential, speculative
-// two-phase, oracle-TDG groups, ordered STM, the multi-version cross-block
-// pipeline (internal/mvstore + internal/exec.Pipeline) whose speed-up is
-// not bounded by a single global commit lock, and a sharded engine
-// (internal/exec.Sharded) with a deterministic cross-shard commit — plus
-// two layers composed on top of the sharded one: the pipelined sharded
-// chain (Sharded.ExecuteChain) and adaptive conflict-heat shard
-// assignment (internal/heat behind core.ShardMap), which learns conflict
-// communities across blocks and migrates them between shards at epoch
-// boundaries.
+// Five execution engines are implemented — sequential, speculative
+// two-phase, oracle-TDG groups, ordered STM, and a sharded engine
+// (internal/exec.Sharded) with a deterministic cross-shard commit, whose
+// chain driver runs over multi-version per-shard caches (internal/mvstore)
+// so phase 1 of block b+1 overlaps phase 2 of block b. With one shard it
+// is the paper's cross-block pipeline, whose speed-up is not bounded by a
+// single global commit lock. Adaptive conflict-heat shard assignment
+// (internal/heat behind core.ShardMap) is layered on top: it learns
+// conflict communities across blocks and migrates them between shards at
+// epoch boundaries.
 //
 // See README.md for the layout, the paper-section → package map, and how
 // to run each command; see docs/ARCHITECTURE.md for the execution

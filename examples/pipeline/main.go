@@ -1,6 +1,6 @@
 // Pipeline is a walkthrough of the mvstore-backed two-phase pipelined
 // engine: it generates account-model histories, executes each whole chain
-// with exec.Pipeline at several lookahead depths, verifies serial
+// with the one-shard exec.Sharded at several lookahead depths, verifies serial
 // equivalence against a sequential replay, and reports how the pipelined
 // flow-shop schedule compares with the per-block engines and the
 // analytical model.
@@ -95,7 +95,7 @@ func runChain(profile string, blocks, workers int, seed int64) error {
 		Headers: []string{"Depth", "Speed-up", "Gas speed-up", "Reexec", "Root"},
 	}
 	for _, depth := range []int{1, 2, 4} {
-		res, err := exec.Pipeline{Workers: workers, Depth: depth}.ExecuteChain(pre.Copy(), chain)
+		res, _, err := exec.Sharded{Workers: workers, Shards: 1, Depth: depth}.ExecuteChain(pre.Copy(), chain)
 		if err != nil {
 			return err
 		}

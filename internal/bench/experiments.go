@@ -230,7 +230,7 @@ func PipelineComparison(blocks int, seed int64, profiles []string, cores []int) 
 				grpSeq += grp.Stats.SeqUnits
 				grpPar += grp.Stats.ParUnits
 			}
-			pipe, err := exec.Pipeline{Workers: n, Depth: 2}.ExecuteChain(pre.Copy(), blks)
+			pipe, _, err := exec.Sharded{Workers: n, Shards: 1, Depth: 2}.ExecuteChain(pre.Copy(), blks)
 			if err != nil {
 				return t, fmt.Errorf("%s pipeline n=%d: %w", profile, n, err)
 			}
@@ -349,7 +349,7 @@ func OpLevelComparison(blocks int, seed int64, profiles []string, cores []int) (
 			var pipeSpeed [2]float64
 			for mode := 0; mode < 2; mode++ {
 				op := mode == 1
-				pipe, err := exec.Pipeline{Workers: n, Depth: 2, OpLevel: op}.ExecuteChain(pre.Copy(), blks)
+				pipe, _, err := exec.Sharded{Workers: n, Shards: 1, Depth: 2, OpLevel: op}.ExecuteChain(pre.Copy(), blks)
 				if err != nil {
 					return t, fmt.Errorf("%s pipeline op=%v n=%d: %w", profile, op, n, err)
 				}
@@ -424,15 +424,16 @@ func ShardingComparison(blocks int, seed int64, profiles []string, shardCounts [
 				seqUnits += len(blk.Txs)
 				for mode := 0; mode < 2; mode++ {
 					op := mode == 1
-					res, ss, err := exec.Sharded{Workers: workers, Shards: shards, OpLevel: op}.
-						ExecuteSharded(pres[i].Copy(), blk)
+					cr, css, err := exec.Sharded{Workers: workers, Shards: shards, OpLevel: op}.
+						ExecuteChain(pres[i].Copy(), []*account.Block{blk})
 					if err != nil {
 						return t, fmt.Errorf("%s sharded s=%d op=%v block %d: %w", profile, shards, op, i, err)
 					}
-					if err := verifyBlockRoot(fmt.Sprintf("%s sharded s=%d op=%v", profile, shards, op), i, res.Root, roots[i]); err != nil {
+					if err := verifyBlockRoot(fmt.Sprintf("%s sharded s=%d op=%v", profile, shards, op), i, cr.Root, roots[i]); err != nil {
 						return t, err
 					}
-					par[mode] += res.Stats.ParUnits
+					ss := css.Blocks[0]
+					par[mode] += cr.Stats.ParUnits
 					crossTx[mode] += ss.Cross
 					aborts[mode] += ss.CrossAborts
 					if ss.Fallback {
@@ -516,8 +517,8 @@ func ShardedPipelineComparison(blocks int, seed int64, profiles []string, shardC
 					if mode == 0 {
 						seqUnits += len(blk.Txs)
 					}
-					res, _, err := exec.Sharded{Workers: workers, Shards: shards, OpLevel: op}.
-						ExecuteSharded(pres[i].Copy(), blk)
+					res, err := exec.Sharded{Workers: workers, Shards: shards, OpLevel: op}.
+						Execute(pres[i].Copy(), blk)
 					if err != nil {
 						return t, fmt.Errorf("%s sharded s=%d op=%v block %d: %w", profile, shards, op, i, err)
 					}

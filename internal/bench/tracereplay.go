@@ -52,8 +52,8 @@ func traceReceiptsMatch(got, want []*account.Receipt) error {
 // dataset.BuildReplayChain into VM-executable blocks whose storage
 // accesses reproduce the trace's conflict structure exactly, and replayed
 // through every engine: per-block Speculative, STM and Sharded, plus the
-// chain-level Pipeline, static Sharded and adaptive (conflict-heat)
-// Sharded. Every run, in both key-level and op-level mode, is verified
+// chain-level one-shard pipeline, static Sharded and adaptive
+// (conflict-heat) Sharded. Every run, in both key-level and op-level mode, is verified
 // root-for-root and receipt-for-receipt against the sequential replay.
 //
 // The trace's measured per-transaction costs drive the engines' gas
@@ -141,8 +141,9 @@ func TraceReplayComparison(seed int64, workers, shards, depth, rebalanceEvery in
 				run func() (*exec.ChainResult, error)
 			}{
 				{3, func() (*exec.ChainResult, error) {
-					return exec.Pipeline{Workers: workers, Depth: depth, OpLevel: op, Cost: rc.TxCost}.
-						ExecuteChain(rc.Pre.Copy(), rc.Blocks)
+					cr, _, err := exec.Sharded{Workers: workers, Shards: 1, Depth: depth, OpLevel: op,
+						Cost: rc.TxCost}.ExecuteChain(rc.Pre.Copy(), rc.Blocks)
+					return cr, err
 				}},
 				{4, func() (*exec.ChainResult, error) {
 					cr, _, err := exec.Sharded{Workers: workers, Shards: shards, OpLevel: op, Depth: depth,

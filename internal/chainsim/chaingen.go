@@ -6,8 +6,8 @@ import (
 
 // GenerateAccountChain generates a whole account-model history for the
 // profile and returns the state before the first block plus the block
-// sequence — the inputs the chain-level engines (exec.Pipeline.ExecuteChain,
-// exec.Sharded.ExecuteChain) consume. The receipts and per-block pre-states
+// sequence — the inputs the chain-level engine (exec.Sharded.ExecuteChain)
+// consumes. The receipts and per-block pre-states
 // are deliberately *not* returned: the generator injects era contracts
 // directly into state between blocks, so chain-level callers must use a
 // sequential replay of the blocks themselves as ground truth (the pattern

@@ -144,11 +144,11 @@ func GroupSpeedupWithCost(x int, l float64, n int, k float64) (float64, error) {
 }
 
 // PipelineSpeedup models the steady-state throughput of the two-phase
-// pipelined engine (internal/exec.Pipeline): per block, phase 1 executes
-// all x transactions speculatively in ⌈x/n⌉ units on n cores and phase 2
-// re-executes the c·x conflicted ones sequentially; with phase 1 of block
-// b+1 overlapping phase 2 of block b, a long chain completes one block
-// every max(⌈x/n⌉, c·x) units, so
+// pipelined engine (internal/exec.Sharded with one shard): per block,
+// phase 1 executes all x transactions speculatively in ⌈x/n⌉ units on n
+// cores and phase 2 re-executes the c·x conflicted ones sequentially; with
+// phase 1 of block b+1 overlapping phase 2 of block b, a long chain
+// completes one block every max(⌈x/n⌉, c·x) units, so
 //
 //	R = x / max(⌈x/n⌉, c·x)
 //

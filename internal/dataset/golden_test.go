@@ -144,7 +144,7 @@ func TestGoldenTraceEngines(t *testing.T) {
 				}
 			}
 		}
-		pipe, err := exec.Pipeline{Workers: 4, Depth: 2, OpLevel: op, Cost: rc.TxCost}.ExecuteChain(rc.Pre.Copy(), rc.Blocks)
+		pipe, _, err := exec.Sharded{Workers: 4, Shards: 1, Depth: 2, OpLevel: op, Cost: rc.TxCost}.ExecuteChain(rc.Pre.Copy(), rc.Blocks)
 		if err != nil {
 			t.Fatalf("pipeline op=%v: %v", op, err)
 		}

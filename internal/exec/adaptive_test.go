@@ -115,7 +115,7 @@ func TestAdaptiveMigrationMovesState(t *testing.T) {
 	}
 }
 
-// TestAdaptivePerBlockObservation: ExecuteSharded with a shared adaptive
+// TestAdaptivePerBlockObservation: per-block Execute with a shared adaptive
 // map must feed the map after every block (the per-block counterpart of
 // the chain's observation loop) while preserving serial equivalence.
 func TestAdaptivePerBlockObservation(t *testing.T) {
@@ -131,7 +131,7 @@ func TestAdaptivePerBlockObservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := e.ExecuteSharded(work, blk)
+		res, err := e.Execute(work, blk)
 		if err != nil {
 			t.Fatalf("block %d: %v", i, err)
 		}

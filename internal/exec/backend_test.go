@@ -96,7 +96,7 @@ func TestBoundedBackendQuickEquivalence(t *testing.T) {
 		}
 		defer store.Close()
 		e := Sharded{Workers: 1, Backend: store, CacheBudget: budget}
-		c := e.newShardedChain(pre.Copy(), m, 0)
+		c := e.newShardedChain(pre.Copy(), m)
 
 		randKey := func() StateKey {
 			a := addrs[rng.Intn(nAddr)]

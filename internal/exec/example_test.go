@@ -45,10 +45,11 @@ func ExampleSequential() {
 	// sink balance: 300
 }
 
-// ExamplePipeline_Execute runs one block through the pipelined two-phase
-// engine and checks serial equivalence against the baseline: independent
-// transfers validate on their phase-1 results, so nothing is re-executed.
-func ExamplePipeline_Execute() {
+// ExampleSharded_Execute runs one block through the one-shard engine — the
+// pipelined two-phase engine — and checks serial equivalence against the
+// baseline: independent transfers validate on their phase-1 results, so
+// nothing is re-executed.
+func ExampleSharded_Execute() {
 	st := exampleState()
 	alice := types.AddressFromUint64("example", 1)
 	bob := types.AddressFromUint64("example", 2)
@@ -64,7 +65,7 @@ func ExamplePipeline_Execute() {
 		fmt.Println(err)
 		return
 	}
-	res, err := exec.Pipeline{Workers: 4}.Execute(st, blk)
+	res, err := exec.Sharded{Workers: 4, Shards: 1}.Execute(st, blk)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -97,12 +98,13 @@ func ExampleSharded() {
 		fmt.Println(err)
 		return
 	}
-	res, ss, err := exec.Sharded{Workers: 4, Shards: 4}.ExecuteSharded(st, blk)
+	cr, css, err := exec.Sharded{Workers: 4, Shards: 4}.ExecuteChain(st, []*account.Block{blk})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println("root matches sequential:", res.Root == seq.Root)
+	ss := css.Blocks[0]
+	fmt.Println("root matches sequential:", cr.Root == seq.Root)
 	fmt.Println("classified:", ss.Intra+ss.Cross, "txs across", ss.Shards, "shards")
 	fmt.Println("fallback:", ss.Fallback)
 	// Output:
@@ -204,11 +206,12 @@ func ExampleSharded_adaptiveMap() {
 	// migrated keys: true
 }
 
-// ExamplePipeline_ExecuteChain pipelines two dependent blocks: the second
-// block spends from the same sender, so its phase-1 run (against a stale
-// snapshot) fails the nonce check and is transparently re-executed in
-// phase 2 — the result still equals the sequential chain.
-func ExamplePipeline_ExecuteChain() {
+// ExampleSharded_ExecuteChain_oneShard pipelines two dependent blocks
+// through the one-shard engine: the second block spends from the same
+// sender, so its phase-1 run (against a stale snapshot) fails the nonce
+// check and is transparently re-executed in phase 2 — the result still
+// equals the sequential chain.
+func ExampleSharded_ExecuteChain_oneShard() {
 	alice := types.AddressFromUint64("example", 1)
 	sink := types.AddressFromUint64("example", 9)
 	coinbase := types.AddressFromUint64("example", 99)
@@ -230,7 +233,7 @@ func ExamplePipeline_ExecuteChain() {
 	}
 
 	pipeSt := exampleState()
-	res, err := exec.Pipeline{Workers: 4, Depth: 2}.ExecuteChain(pipeSt, blocks)
+	res, _, err := exec.Sharded{Workers: 4, Shards: 1, Depth: 2}.ExecuteChain(pipeSt, blocks)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -558,9 +558,6 @@ func TestEnginesRejectZeroWorkers(t *testing.T) {
 	if _, err := (STMExec{}).Execute(st, blk); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("stm: %v", err)
 	}
-	if _, err := (Pipeline{}).Execute(st, blk); !errors.Is(err, ErrNoWorkers) {
-		t.Fatalf("pipeline: %v", err)
-	}
 	if _, err := (Sharded{Shards: 2}).Execute(st, blk); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("sharded: %v", err)
 	}

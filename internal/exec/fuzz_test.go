@@ -217,8 +217,8 @@ func FuzzEngineSerialEquivalence(f *testing.F) {
 					checkReceipts("sharded/"+mode, shd.Receipts, seqs[i].Receipts)
 				}
 			}
-			// The pipeline over the whole chain.
-			cr, err := Pipeline{Workers: 4, Depth: 2, OpLevel: op}.ExecuteChain(pre.Copy(), blocks)
+			// The one-shard pipeline over the whole chain.
+			cr, _, err := Sharded{Workers: 4, Shards: 1, Depth: 2, OpLevel: op}.ExecuteChain(pre.Copy(), blocks)
 			if err != nil {
 				t.Fatalf("pipeline/%s: %v", mode, err)
 			}

@@ -27,7 +27,7 @@ func runOpLevelEngines(t *testing.T, st *account.StateDB, blk *account.Block, wo
 			return Grouped{Workers: workers, Refined: true, Receipts: seq.Receipts}.Execute(s, b)
 		},
 		"pipeline-op": func(s *account.StateDB, b *account.Block) (*Result, error) {
-			return Pipeline{Workers: workers, OpLevel: true}.Execute(s, b)
+			return Sharded{Workers: workers, Shards: 1, OpLevel: true}.Execute(s, b)
 		},
 	}
 	for name, run := range engines {
@@ -173,7 +173,7 @@ func TestOpLevelPipelineChain(t *testing.T) {
 	seqRoot := work.Root()
 
 	for _, op := range []bool{false, true} {
-		cr, err := Pipeline{Workers: 8, Depth: 2, OpLevel: op}.ExecuteChain(pre.Copy(), blocks)
+		cr, _, err := Sharded{Workers: 8, Shards: 1, Depth: 2, OpLevel: op}.ExecuteChain(pre.Copy(), blocks)
 		if err != nil {
 			t.Fatalf("op=%v: %v", op, err)
 		}

@@ -16,19 +16,16 @@
 //     reads an earlier commit of the window invalidated (the design
 //     direction of Dickerson et al. [6] and of later systems such as
 //     Block-STM).
-//   - Pipeline: the Octopus-style two-phase engine over the multi-version
-//     cache of package mvstore — optimistic execution against pinned
-//     snapshots, in-order validation with per-transaction repair, and
-//     phase 1 of block b+1 overlapping phase 2 of block b across a chain.
 //   - Sharded: state partitioned by a pluggable core.ShardMap (static
 //     FNV-1a by default), each shard running its sub-block on its own
 //     speculative pipeline, with — unlike the Zilliqa design of §II-B — a
 //     deterministic two-phase cross-shard commit for the transactions that
 //     span committees: commuting staged groups commit in batches, aborted
 //     ones re-execute in parallel waves, and ordering overlaps are
-//     repaired per transaction. Sharded.ExecuteChain composes it with
+//     repaired per transaction. Its chain driver composes it with
 //     per-shard persistent mvstore instances so phase 1 of block b+1
-//     overlaps the cross-shard commit of block b; with an adaptive map
+//     overlaps the cross-shard commit of block b (with one shard, the
+//     Octopus-style two-phase pipeline); with an adaptive map
 //     (internal/heat.AdaptiveMap) it additionally learns per-address
 //     conflict heat across blocks, rebalances hot conflict communities at
 //     epoch boundaries with deterministic state migration between the

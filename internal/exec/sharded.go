@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"txconcur/internal/account"
 	"txconcur/internal/core"
@@ -58,6 +57,19 @@ import (
 // sequential prefix (ShardStats.Repairs). The regression and fuzz tests
 // enforce receipt and state-root equality with Sequential on every profile,
 // shard count, and conflict mode.
+//
+// Every entry point runs the same chain driver (ExecuteChainStream;
+// ExecuteChain feeds it a slice, Execute a single block): because the
+// per-shard state caches are multi-version (package mvstore), phase 1 of
+// block b+1 runs concurrently with phase 2 of block b — the Octopus-style
+// design that overlaps execution and validation across blocks instead of
+// serialising every block on one global commit lock. Cross-block
+// staleness, the price of running ahead, is detected by per-key version
+// checks rather than a global clock. With one shard every transaction is
+// intra-shard, so phase 2 is the in-order validator alone and the
+// cross-shard commit never runs: Sharded{Shards: 1} is the paper's
+// pipelined two-phase engine, where an intra-block conflict costs exactly
+// one re-execution at its commit point.
 type Sharded struct {
 	// Workers is the total core count n. Each shard's pipeline is credited
 	// ⌈n/s⌉ logical workers; since s·⌈n/s⌉ can exceed n when s does not
@@ -66,7 +78,7 @@ type Sharded struct {
 	// reported speed-up never exceeds what n cores could deliver.
 	Workers int
 	// Shards is the committee count s; values below 1 mean 1 (a single
-	// shard has no cross-shard commit: its ExecuteChain is Pipeline).
+	// shard has no cross-shard commit).
 	Shards int
 	// OpLevel enables operation-level conflict refinement: balance credits
 	// and debits are recorded as commutative deltas. Deltas merge within a
@@ -74,29 +86,23 @@ type Sharded struct {
 	// blind credits never abort each other no matter which shard staged
 	// them.
 	OpLevel bool
-	// SequentialMerge caps the cross-shard merge's re-execution waves and
-	// staged commit groups at one transaction, restoring the strictly
-	// sequential merge the first version of this engine used. Results are
-	// identical; only the schedule accounting (and wall time) change.
-	// BenchmarkShardedMerge uses it to isolate what the parallel merge
-	// buys.
-	SequentialMerge bool
-	// Depth is the pipeline lookahead of ExecuteChain in blocks: phase 1
-	// may run up to Depth blocks ahead of the cross-shard commit, against
-	// per-shard snapshots pinned at the deterministic fixed-lag timestamp.
-	// 0 means 1. Ignored by the per-block Execute/ExecuteSharded.
+	// Depth is the pipeline lookahead in blocks: phase 1 may run up to
+	// Depth blocks ahead of the cross-shard commit, against per-shard
+	// snapshots pinned at the deterministic fixed-lag timestamp. 0 means 1.
+	// Deeper lookahead buys more overlap at the price of staler snapshots
+	// (more re-executions).
 	Depth int
 	// Map overrides the address→shard assignment. nil means the static
 	// FNV-1a baseline over Shards committees (core.StaticShardMap); when
 	// set, its Shards() wins over the Shards field. A core.AdaptiveShardMap
 	// is additionally fed every committed block's access/conflict heat
-	// (ObserveBlock, in block order) and — in ExecuteChain, when
-	// RebalanceEvery > 0 — rebalanced at epoch boundaries with the moved
-	// addresses' state migrated between the per-shard stores. Adaptive maps
-	// are stateful: reusing one across runs carries its learned profile
-	// over, which is the intended chain-level usage.
+	// (ObserveBlock, in block order) and — when RebalanceEvery > 0 —
+	// rebalanced at epoch boundaries with the moved addresses' state
+	// migrated between the per-shard stores. Adaptive maps are stateful:
+	// reusing one across runs carries its learned profile over, which is
+	// the intended chain-level usage.
 	Map core.ShardMap
-	// RebalanceEvery is ExecuteChain's epoch length in blocks: after every
+	// RebalanceEvery is the chain's epoch length in blocks: after every
 	// RebalanceEvery committed blocks the pipeline drains, the adaptive map
 	// rebalances, and the moved addresses' state migrates to its new home
 	// shard before the next epoch starts. 0 disables rebalancing (the map
@@ -107,21 +113,19 @@ type Sharded struct {
 	// repairs alike); nil charges the receipt's gas.
 	Cost CostModel
 	// Checkpoint, if non-nil with a positive Interval, receives async
-	// change sets of committed chain state every Interval blocks from
-	// ExecuteChain/ExecuteChainStream (see CheckpointSink). The
-	// checkpoint worker never blocks the commit path: busy intervals are
-	// skipped, counted in ChainShardStats.CheckpointsSkipped, and folded
-	// into the next delivered change set. Ignored by the per-block
-	// Execute/ExecuteSharded.
+	// change sets of committed chain state every Interval blocks (see
+	// CheckpointSink). The checkpoint worker never blocks the commit path:
+	// busy intervals are skipped, counted in
+	// ChainShardStats.CheckpointsSkipped, and folded into the next
+	// delivered change set.
 	Checkpoint CheckpointSink
 	// Backend, if non-nil, is the disk-backed base layer shared by every
-	// shard's version cache: the chain drivers evict cold, fully resolved
+	// shard's version cache: the chain driver evicts cold, fully resolved
 	// keys beyond CacheBudget per shard into it after each GC pass, and
 	// cache misses read through to it before falling back to the pre-chain
 	// state. A single shared base makes epoch migrations free for evicted
 	// keys — any shard reads the same base entry. nil keeps the historical
-	// all-RAM behaviour. Ignored by the per-block Execute/ExecuteSharded,
-	// which hold at most one block of state.
+	// all-RAM behaviour.
 	Backend StateBackend
 	// CacheBudget is the target resident key count of each shard's version
 	// cache when Backend is set: eviction trims cold keys down to it (0
@@ -196,8 +200,8 @@ type ShardStats struct {
 // mergedState reads through every shard's committed view, dispatching each
 // key to the view of the shard that owns its address under the block's
 // shard map. Phase 2 layers the cross-shard accumulator over it; phase 1
-// of ExecuteChain uses it over pinned per-shard snapshots. Writes panic:
-// all execution goes through recording overlays.
+// uses it over pinned per-shard snapshots. Writes panic: all execution
+// goes through recording overlays.
 type mergedState struct {
 	m     core.ShardMap
 	views []account.State
@@ -225,11 +229,17 @@ func (s *mergedState) SetStorage(types.Address, uint64, uint64) {
 	panic("exec: write to merged view")
 }
 
-// Execute runs the block on st (mutated on success), engine-interface
-// parity with the other executors.
+// Execute runs the block on st (mutated on success) as a one-block
+// ExecuteChain, engine-interface parity with the other executors. With one
+// block there is nothing to overlap: the schedule length is the block's
+// phase 1 plus its ordered commit. The block's ShardStats are the chain's
+// ChainShardStats.Blocks[0].
 func (e Sharded) Execute(st *account.StateDB, blk *account.Block) (*Result, error) {
-	res, _, err := e.ExecuteSharded(st, blk)
-	return res, err
+	cr, _, err := e.ExecuteChain(st, []*account.Block{blk})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Receipts: cr.Receipts[0], Root: cr.Root, Stats: cr.Stats}, nil
 }
 
 // touchesForeign reports whether the overlay's access set leaves the home
@@ -270,9 +280,9 @@ func noteMinIdx(m map[StateKey]int, k StateKey, i int) {
 	}
 }
 
-// shardedSpec carries one block's phase-1 output into phase 2 — built
-// inline by ExecuteSharded, and by the speculative stage goroutine (against
-// pinned per-shard snapshots) in ExecuteChain.
+// shardedSpec carries one block's phase-1 output into phase 2 — built by
+// the chain driver's speculative stage goroutine against pinned per-shard
+// snapshots.
 type shardedSpec struct {
 	overlays []*overlay
 	p1rcpt   []*account.Receipt
@@ -357,7 +367,7 @@ type shardedOutcome struct {
 // and composes the final block write set in order — re-executing the repair
 // suffix when the merge detected an ordering overlap. stale, when non-nil,
 // reports keys whose committed value postdates the phase-1 snapshot
-// (ExecuteChain's cross-block staleness); phase-1 results reading such keys
+// (the chain's cross-block staleness); phase-1 results reading such keys
 // are demoted to failures and re-execute on the true prefix. Each shard's
 // phase-2a goroutine probes its own transactions, so stale must be safe
 // for concurrent calls.
@@ -527,32 +537,46 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 		}
 	}
 
+	crossIdx := make([]int, 0, x)
+	for j := 0; j < x; j++ {
+		if cross[j] {
+			crossIdx = append(crossIdx, j)
+		}
+	}
+	crossN := len(crossIdx)
+
 	// Intra touch index, for ordering the cross-shard set against the
 	// committed sub-blocks: per key, the smallest intra writer (reads of a
 	// staged cross transaction must not postdate it) and the full ascending
 	// position lists of intra readers / absolute writers / delta writers.
 	// The lists bound the repair suffix precisely: when a cross-shard write
 	// at j overlaps later intra results, only the *first affected* intra
-	// position — not j+1 — starts the re-run.
-	minIntraWrite := make(map[StateKey]int)
-	intraReads := make(map[StateKey][]int)
-	intraAbs := make(map[StateKey][]int)
-	intraDeltas := make(map[StateKey][]int)
-	for i, f := range final {
-		if f == nil {
-			continue
-		}
-		for k := range f.reads() {
-			intraReads[k] = append(intraReads[k], i)
-		}
-		for k := range f.writes() {
-			noteMinIdx(minIntraWrite, k, i)
-			intraAbs[k] = append(intraAbs[k], i)
-		}
-		for a := range f.deltas() {
-			k := deltaKey(a)
-			noteMinIdx(minIntraWrite, k, i)
-			intraDeltas[k] = append(intraDeltas[k], i)
+	// position — not j+1 — starts the re-run. Only the cross-shard merge
+	// reads the index, so a block without cross transactions (every block
+	// of a one-shard engine) skips it.
+	var minIntraWrite map[StateKey]int
+	var intraReads, intraAbs, intraDeltas map[StateKey][]int
+	if crossN > 0 {
+		minIntraWrite = make(map[StateKey]int)
+		intraReads = make(map[StateKey][]int)
+		intraAbs = make(map[StateKey][]int)
+		intraDeltas = make(map[StateKey][]int)
+		for i, f := range final {
+			if f == nil {
+				continue
+			}
+			for k := range f.reads() {
+				intraReads[k] = append(intraReads[k], i)
+			}
+			for k := range f.writes() {
+				noteMinIdx(minIntraWrite, k, i)
+				intraAbs[k] = append(intraAbs[k], i)
+			}
+			for a := range f.deltas() {
+				k := deltaKey(a)
+				noteMinIdx(minIntraWrite, k, i)
+				intraDeltas[k] = append(intraDeltas[k], i)
+			}
 		}
 	}
 	// firstAfter returns the smallest position in the ascending list
@@ -579,13 +603,6 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 		merged.views[sh] = outcomes[sh].acc.reader()
 	}
 	cw := crossWriteIndex{abs: make(map[StateKey]int), delta: make(map[StateKey]int)}
-	crossIdx := make([]int, 0, x)
-	for j := 0; j < x; j++ {
-		if cross[j] {
-			crossIdx = append(crossIdx, j)
-		}
-	}
-	crossN := len(crossIdx)
 	accX := newAccumulator(merged, e.OpLevel, accKeysPerTx*crossN)
 	ss := &ShardStats{
 		Shards: shards, Cross: crossN, Intra: x - crossN,
@@ -595,11 +612,6 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 		ss.PerShardTxs[sh] = len(sp.byShard[sh])
 	}
 	out := &shardedOutcome{receipts: receipts, ss: ss}
-
-	maxWave := e.Workers
-	if e.SequentialMerge || maxWave < 1 {
-		maxWave = 1
-	}
 
 	// Heat-aware wave ordering: when the shard map carries a learned
 	// conflict profile, no two transactions touching the *same*
@@ -781,11 +793,6 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 			}
 			if !hit {
 				group = append(group, j)
-				if e.SequentialMerge {
-					// One transaction per group: flush immediately so the
-					// sequential baseline never batch-commits.
-					flushGroup()
-				}
 				p++
 				continue
 			}
@@ -795,9 +802,6 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 			}
 			if validStaged(j) {
 				group = append(group, j)
-				if e.SequentialMerge {
-					flushGroup()
-				}
 				p++
 				continue
 			}
@@ -844,7 +848,7 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 			}
 		}
 		noteHot(overlays[j])
-		for p+len(wave) < len(crossIdx) && len(wave) < maxWave {
+		for p+len(wave) < len(crossIdx) && len(wave) < e.Workers {
 			jn := crossIdx[p+len(wave)]
 			if jn >= repairFrom || validStaged(jn) {
 				break
@@ -907,13 +911,13 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 		wOverlays := make([]*overlay, len(wave))
 		wReceipts := make([]*account.Receipt, len(wave))
 		wErr := make([]error, len(wave))
-		parallelFor(len(wave), maxWave, func(w int) {
+		parallelFor(len(wave), e.Workers, func(w int) {
 			o := newOverlayOp(reader, e.OpLevel)
 			rcpt, err := procDeferred.ApplyTransaction(o, blk, blk.Txs[wave[w]])
 			wOverlays[w], wReceipts[w], wErr[w] = o, rcpt, err
 		})
 		ss.MergeWaves++
-		waveUnits := ceilDiv(len(wave), maxWave)
+		waveUnits := ceilDiv(len(wave), e.Workers)
 		out.mergeUnits += waveUnits
 		ss.MergeUnits += waveUnits
 		var waveGas uint64
@@ -989,7 +993,7 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 			f.applyTo(accX)
 			commitCross(jw, f)
 		}
-		out.mergeGas += ceilDivU(waveGas, uint64(maxWave))
+		out.mergeGas += ceilDivU(waveGas, uint64(e.Workers))
 		p += len(wave)
 	}
 	flushGroup()
@@ -1178,49 +1182,4 @@ func waveAbsWrite(waveW map[StateKey]struct{}, wave []int, overlays []*overlay, 
 		}
 	}
 	return false
-}
-
-// ExecuteSharded runs the block and additionally returns the sharding
-// counters the E9 experiment reports. st is mutated on success. With an
-// adaptive Map, the committed block's heat is fed to the map before
-// returning, so repeated per-block calls against a shared map accumulate a
-// profile exactly as ExecuteChain does.
-func (e Sharded) ExecuteSharded(st *account.StateDB, blk *account.Block) (*Result, *ShardStats, error) {
-	if e.Workers < 1 {
-		return nil, nil, ErrNoWorkers
-	}
-	m := e.shardMap()
-	shards := m.Shards()
-	wps := ceilDiv(e.Workers, shards)
-	//txlint:clock wall-clock timing metric for reported stats only; committed state never depends on it
-	start := time.Now()
-	x := len(blk.Txs)
-
-	sp := e.specExec(st, blk, m, wps)
-	out, err := e.phase2(st, nil, blk, sp, m, wps)
-	if err != nil {
-		return nil, nil, err
-	}
-	out.acc.applyTo(st)
-	out.acc.release()
-	finalizeBlock(st, blk, out.receipts)
-	if am, ok := m.(core.AdaptiveShardMap); ok && out.obs != nil {
-		am.ObserveBlock(*out.obs)
-	}
-
-	res := &Result{Receipts: out.receipts, Root: st.Root()}
-	res.Stats = Stats{
-		Workers:    e.Workers,
-		Txs:        x,
-		Conflicted: out.conflicted,
-		SeqUnits:   x,
-		ParUnits:   out.intraUnits + out.mergeUnits + out.repairs,
-		GasSeq:     costSum(e.Cost, blk.Txs, out.receipts),
-		GasPar:     out.intraGas + out.mergeGas + out.repairGas,
-		Retries:    out.binned + out.mergeReexecs + out.redos + out.repairs,
-		//txlint:clock wall-clock timing metric only
-		Wall: time.Since(start),
-	}
-	res.Stats.finish()
-	return res, out.ss, nil
 }

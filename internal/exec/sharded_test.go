@@ -30,6 +30,16 @@ func shardedEquivalenceProfiles() []chainsim.Profile {
 	return ps
 }
 
+// executeBlock runs blk as a one-block chain, as Execute does, and returns
+// the block's result together with its sharding counters.
+func executeBlock(e Sharded, st *account.StateDB, blk *account.Block) (*Result, *ShardStats, error) {
+	cr, css, err := e.ExecuteChain(st, []*account.Block{blk})
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Result{Receipts: cr.Receipts[0], Root: cr.Root, Stats: cr.Stats}, &css.Blocks[0], nil
+}
+
 // TestShardedSerialEquivalenceAllProfiles is the engine-equivalence
 // matrix: on every profile of shardedEquivalenceProfiles, every engine row
 // must reproduce the sequential oracle — state root and receipts — and
@@ -37,7 +47,7 @@ func shardedEquivalenceProfiles() []chainsim.Profile {
 // on every block. Each profile subtest generates its chain and oracles
 // once and runs every row over them as a parallel subtest:
 //
-//   - block: the per-block engine, shard counts {1, 2, 4, 8} x both
+//   - block: one-block chains, shard counts {1, 2, 4, 8} x both
 //     conflict modes, from the generator's own per-block pre-states;
 //   - chain: the pipelined batch chain, shard counts {1, 2, 4, 8} x both
 //     modes (the E10 acceptance criterion);
@@ -51,7 +61,7 @@ func shardedEquivalenceProfiles() []chainsim.Profile {
 //     budget over a basestore backend, shard counts {1, 2, 4} x both
 //     modes; the batch runs must evict, so equivalence is exercised
 //     through evict-then-read-through, not vacuously;
-//   - pipeline: the Pipeline chain at depths 1 and 3.
+//   - pipeline: the one-shard chain at depths 1 and 3.
 //
 // The rows share the fixture's blocks, and Transaction.Hash caches its
 // value without synchronisation. The oracles compute every hash in the
@@ -115,7 +125,7 @@ func TestShardedSerialEquivalenceAllProfiles(t *testing.T) {
 						for _, shards := range []int{1, 2, 4, 8} {
 							for _, op := range modes {
 								label := fmt.Sprintf("shards=%d op=%v", shards, op)
-								res, ss, err := Sharded{Workers: 8, Shards: shards, OpLevel: op}.ExecuteSharded(pres[bi].Copy(), blk)
+								res, ss, err := executeBlock(Sharded{Workers: 8, Shards: shards, OpLevel: op}, pres[bi].Copy(), blk)
 								if err != nil {
 									t.Fatalf("%s block %d: %v", label, bi, err)
 								}
@@ -214,7 +224,7 @@ func TestShardedSerialEquivalenceAllProfiles(t *testing.T) {
 				}},
 				{"pipeline", func(t *testing.T) {
 					for _, depth := range []int{1, 3} {
-						res, err := Pipeline{Workers: 8, Depth: depth}.ExecuteChain(pre.Copy(), blocks)
+						res, _, err := Sharded{Workers: 8, Shards: 1, Depth: depth}.ExecuteChain(pre.Copy(), blocks)
 						if err != nil {
 							t.Fatalf("depth %d: %v", depth, err)
 						}
@@ -246,7 +256,7 @@ func TestShardedSingleShard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, ss, err := Sharded{Workers: 4, Shards: 1}.ExecuteSharded(work.Copy(), blk)
+		res, ss, err := executeBlock(Sharded{Workers: 4, Shards: 1}, work.Copy(), blk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +306,7 @@ func TestShardedCrossShardTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range []bool{false, true} {
-		res, ss, err := Sharded{Workers: 4, Shards: shards, OpLevel: op}.ExecuteSharded(st.Copy(), blk)
+		res, ss, err := executeBlock(Sharded{Workers: 4, Shards: shards, OpLevel: op}, st.Copy(), blk)
 		if err != nil {
 			t.Fatalf("op=%v: %v", op, err)
 		}
@@ -345,11 +355,11 @@ func TestShardedHotKeyDeltasCommute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	key, ssKey, err := Sharded{Workers: 8, Shards: shards}.ExecuteSharded(st.Copy(), blk)
+	key, ssKey, err := executeBlock(Sharded{Workers: 8, Shards: shards}, st.Copy(), blk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, ssOp, err := Sharded{Workers: 8, Shards: shards, OpLevel: true}.ExecuteSharded(st.Copy(), blk)
+	op, ssOp, err := executeBlock(Sharded{Workers: 8, Shards: shards, OpLevel: true}, st.Copy(), blk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,11 +386,11 @@ func TestShardedHotKeyDeltasCommute(t *testing.T) {
 func TestShardedWorkerValidation(t *testing.T) {
 	st := account.NewStateDB()
 	blk := &account.Block{Coinbase: types.AddressFromUint64("sv/miner", 0)}
-	if _, _, err := (Sharded{Workers: 0, Shards: 4}).ExecuteSharded(st, blk); err == nil {
+	if _, err := (Sharded{Workers: 0, Shards: 4}).Execute(st, blk); err == nil {
 		t.Fatal("zero workers accepted")
 	}
 	// Shards <= 0 normalises to one shard rather than failing.
-	res, ss, err := (Sharded{Workers: 2, Shards: -3}).ExecuteSharded(st, blk)
+	res, ss, err := executeBlock(Sharded{Workers: 2, Shards: -3}, st, blk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +414,7 @@ func TestShardedChainReplay(t *testing.T) {
 		}
 		for _, shards := range []int{2, 3, 8} {
 			for _, op := range []bool{false, true} {
-				res, _, err := Sharded{Workers: 6, Shards: shards, OpLevel: op}.ExecuteSharded(work.Copy(), blk)
+				res, err := Sharded{Workers: 6, Shards: shards, OpLevel: op}.Execute(work.Copy(), blk)
 				if err != nil {
 					t.Fatalf("block %d shards=%d op=%v: %v", bi, shards, op, err)
 				}
@@ -443,7 +453,7 @@ func TestShardedGasAccountsForBins(t *testing.T) {
 	// Key-level, one shard: every transaction reads the hot balance, so the
 	// first keeps its phase-1 result and each later one reads the previous
 	// commit's write and re-executes in order.
-	res, ss, err := Sharded{Workers: 8, Shards: 1}.ExecuteSharded(st.Copy(), blk)
+	res, ss, err := executeBlock(Sharded{Workers: 8, Shards: 1}, st.Copy(), blk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,15 +469,6 @@ func TestShardedGasAccountsForBins(t *testing.T) {
 	if res.Stats.Conflicted != 15 || res.Stats.GasPar != (16*21000+7)/8+15*21000 {
 		t.Fatalf("Conflicted %d, GasPar %d; want 15, %d",
 			res.Stats.Conflicted, res.Stats.GasPar, (16*21000+7)/8+15*21000)
-	}
-	// One shard is the pipeline: the same schedule and the same result.
-	pipe, err := Pipeline{Workers: 8}.Execute(st.Copy(), blk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pipe.Root != res.Root || pipe.Stats.Conflicted != res.Stats.Conflicted ||
-		pipe.Stats.ParUnits != res.Stats.ParUnits || pipe.Stats.GasPar != res.Stats.GasPar {
-		t.Fatalf("pipeline %+v differs from single-shard %+v", pipe.Stats, res.Stats)
 	}
 }
 
@@ -516,7 +517,7 @@ func TestShardedReexecWritesUnpredictedSlot(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		for _, op := range []bool{false, true} {
 			e := Sharded{Workers: 4, Shards: shards, OpLevel: op}
-			res, ss, err := e.ExecuteSharded(st.Copy(), blk)
+			res, ss, err := executeBlock(e, st.Copy(), blk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -584,7 +585,7 @@ func TestShardedClassificationFixpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range []bool{false, true} {
-		res, ss, err := Sharded{Workers: 4, Shards: 2, OpLevel: op}.ExecuteSharded(st.Copy(), blk)
+		res, ss, err := executeBlock(Sharded{Workers: 4, Shards: 2, OpLevel: op}, st.Copy(), blk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -618,7 +619,7 @@ func TestShardedSpeedupBoundedByWorkers(t *testing.T) {
 		Coinbase: types.AddressFromUint64("budget/miner", 0),
 		Txs:      txs,
 	}
-	res, ss, err := Sharded{Workers: 2, Shards: 8}.ExecuteSharded(st.Copy(), blk)
+	res, ss, err := executeBlock(Sharded{Workers: 2, Shards: 8}, st.Copy(), blk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,7 +638,7 @@ func TestShardedSpeedupBoundedByWorkers(t *testing.T) {
 // TestShardedAccumulatorPoolConcurrent: block accumulators are pooled and
 // released at fixed points, so concurrent engines recycle each other's
 // accumulators. Four goroutines run ExecuteChain, ExecuteChainStream and
-// ExecuteSharded at once over Shard Uniform, Shard Skew and Shard
+// per-block Execute at once over Shard Uniform, Shard Skew and Shard
 // Cross-Heavy (whose merge repairs exercise the prefix accumulator); every
 // root and receipt must match Sequential, and an accumulator drawn from
 // the pool afterwards must hold no entries and no index keys.
@@ -660,7 +661,7 @@ func TestShardedAccumulatorPoolConcurrent(t *testing.T) {
 		work := pre.Copy()
 		cr := &ChainResult{}
 		for _, blk := range blocks {
-			res, _, err := e.ExecuteSharded(work, blk)
+			res, err := e.Execute(work, blk)
 			if err != nil {
 				return nil, err
 			}

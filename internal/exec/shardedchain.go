@@ -42,8 +42,33 @@ import (
 // every store by the *final* assignment, which owns each key's newest
 // version by construction.
 
+// BlockStats describes the chain engine's work on one block.
+type BlockStats struct {
+	// Txs is the number of transactions in the block.
+	Txs int
+	// Reexecuted is how many of them failed validation (stale reads,
+	// intra-block conflicts, or phase-1 envelope failures) and were
+	// re-executed.
+	Reexecuted int
+}
+
+// ChainResult is the outcome of executing a sequence of blocks through the
+// chain engine.
+type ChainResult struct {
+	// Receipts holds the per-block, per-transaction receipts in order.
+	Receipts [][]*account.Receipt
+	// Root is the state root after the last block.
+	Root types.Hash
+	// Stats aggregates the whole chain under the paper's unit-cost model;
+	// ParUnits is the two-stage flow-shop makespan (phase 1 of block b+1
+	// overlapping phase 2 of block b).
+	Stats Stats
+	// Blocks holds per-block counters.
+	Blocks []BlockStats
+}
+
 // ChainShardStats aggregates the sharding counters of a chain executed by
-// Sharded.ExecuteChain, per block and in total.
+// Sharded, per block and in total.
 type ChainShardStats struct {
 	// Blocks holds each block's ShardStats, in chain order.
 	Blocks []ShardStats
@@ -109,7 +134,7 @@ func (sb *shardedSpecBlock) release() {
 	}
 }
 
-// shardedChain is the mutable state ExecuteChain threads through its
+// shardedChain is the mutable state the chain driver threads through its
 // epochs: the per-shard stores, the logical clock, and the chain-level
 // accumulators.
 type shardedChain struct {
@@ -129,8 +154,7 @@ type shardedChain struct {
 	baseTS uint64
 
 	// all and blockStats grow by append as blocks commit (strictly in
-	// order), so the same accumulator serves slice-backed and streamed
-	// chains alike.
+	// order); a streamed chain has no known length.
 	all        [][]*account.Receipt
 	blockStats []BlockStats
 	css        *ChainShardStats
@@ -168,6 +192,10 @@ type shardedChain struct {
 // and migrates the moved addresses' state between the per-shard stores
 // (ChainShardStats.RebalanceEpochs/Migrations/MigrationUnits).
 //
+// The slice is fed to ExecuteChainStream through a pre-filled, closed
+// channel, so the batch and streamed chains share one driver. A nil block
+// is an error, not the end of the chain.
+//
 // Nothing touches st until every block has committed, so the speculative
 // stage can read it lock-free; each shard's newest values are folded into
 // st once at the end, filtered by the final assignment. Serial equivalence
@@ -175,58 +203,25 @@ type shardedChain struct {
 // regression and fuzz suites on every profile, shard count, conflict mode,
 // and rebalance schedule.
 func (e Sharded) ExecuteChain(st *account.StateDB, blocks []*account.Block) (*ChainResult, *ChainShardStats, error) {
-	if e.Workers < 1 {
-		return nil, nil, ErrNoWorkers
-	}
-	m := e.shardMap()
-	//txlint:clock wall-clock timing metric for reported stats only; committed state never depends on it
-	start := time.Now()
-
-	am, adaptive := m.(core.AdaptiveShardMap)
-	epochLen := len(blocks)
-	if adaptive && e.RebalanceEvery > 0 && e.RebalanceEvery < epochLen {
-		epochLen = e.RebalanceEvery
-	}
-	if epochLen < 1 {
-		epochLen = 1
-	}
-
-	c := e.newShardedChain(st, m, len(blocks))
-	c.startCheckpoints(e.Checkpoint)
-	for lo := 0; lo < len(blocks); lo += epochLen {
-		hi := lo + epochLen
-		if hi > len(blocks) {
-			hi = len(blocks)
+	ch := make(chan *account.Block, len(blocks))
+	for i, blk := range blocks {
+		if blk == nil {
+			return nil, nil, fmt.Errorf("exec: sharded chain: block %d is nil", i)
 		}
-		// A slice-backed source never blocks, so the quit channel is moot.
-		src := func(rel int, _ <-chan struct{}) (*account.Block, bool) {
-			if lo+rel >= hi {
-				return nil, false
-			}
-			return blocks[lo+rel], true
-		}
-		if _, err := e.runShardedEpoch(c, src, am, nil); err != nil {
-			c.closeCheckpoints()
-			return nil, nil, err
-		}
-		if adaptive && e.RebalanceEvery > 0 && hi < len(blocks) {
-			e.migrateShards(c, am.Rebalance())
-		}
+		ch <- blk
 	}
-	return e.finishChain(c, start)
+	close(ch)
+	return e.ExecuteChainStream(st, ch, nil)
 }
 
 // newShardedChain builds the chain accumulator with one fresh multi-version
-// store per shard. sizeHint pre-sizes the per-block slices (0 when the
-// block count is unknown, as in a streamed chain).
-func (e Sharded) newShardedChain(st *account.StateDB, m core.ShardMap, sizeHint int) *shardedChain {
+// store per shard.
+func (e Sharded) newShardedChain(st *account.StateDB, m core.ShardMap) *shardedChain {
 	c := &shardedChain{
-		st:         st,
-		mvs:        make([]*mvstore.Store[StateKey, stateVal], m.Shards()),
-		m:          m,
-		all:        make([][]*account.Receipt, 0, sizeHint),
-		blockStats: make([]BlockStats, 0, sizeHint),
-		css:        &ChainShardStats{},
+		st:  st,
+		mvs: make([]*mvstore.Store[StateKey, stateVal], m.Shards()),
+		m:   m,
+		css: &ChainShardStats{},
 	}
 	for sh := range c.mvs {
 		c.mvs[sh] = mvstore.NewStoreDelta[StateKey, stateVal](mergeStateVal)
@@ -291,10 +286,9 @@ func (e Sharded) finishChain(c *shardedChain, start time.Time) (*ChainResult, *C
 
 // epochSource yields one epoch's blocks to the speculative stage, in order:
 // src(rel, quit) returns the epoch's rel-th block, or false when the epoch
-// is over (boundary reached, slice exhausted, or stream closed). A source
-// backed by a live stream must honour quit — it is closed when the
-// committer aborts, and a source still blocked on its producer would
-// deadlock the drain otherwise.
+// is over (boundary reached or stream closed). The source must honour
+// quit — it is closed when the committer aborts, and a source still
+// blocked on its producer would deadlock the drain otherwise.
 type epochSource func(rel int, quit <-chan struct{}) (*account.Block, bool)
 
 // runShardedEpoch pipelines one epoch's blocks: stage 1 speculates per
@@ -349,9 +343,9 @@ func (e Sharded) runShardedEpoch(c *shardedChain, src epochSource,
 			// durable on every shard. Earlier epochs are fully durable
 			// (the boundary drained), so the floor is the epoch's entry
 			// timestamp. The clock runs on epoch-relative positions, so a
-			// streamed source — whose producers have arbitrary timing —
-			// yields the same pins, and therefore the same re-execution
-			// counts and schedule stats, as the slice-backed batch run.
+			// live stream — whose producers have arbitrary timing — yields
+			// the same pins, and therefore the same re-execution counts and
+			// schedule stats, as a pre-filled one.
 			ts := baseTS
 			if rel > depth {
 				ts = baseTS + uint64(rel-depth-1)

@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"testing"
-
-	"txconcur/internal/chainsim"
-)
+import "testing"
 
 // checkShardStats asserts the ShardStats bookkeeping invariants for one
 // block run:
@@ -61,43 +57,6 @@ func checkShardStats(t *testing.T, label string, txs int, ss *ShardStats, st *St
 		}
 		if st.Retries < ss.CrossAborts {
 			t.Fatalf("%s: Retries %d < CrossAborts %d", label, st.Retries, ss.CrossAborts)
-		}
-	}
-}
-
-// TestShardedSequentialMergeEquivalence: the SequentialMerge knob must not
-// change any result — only the schedule. It also bounds the parallel
-// merge from above: waves can only compress the merge's unit cost.
-func TestShardedSequentialMergeEquivalence(t *testing.T) {
-	pre, blocks, err := chainsim.GenerateAccountChain(chainsim.ShardCrossHeavyProfile(), 5, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range []bool{false, true} {
-		work := pre.Copy()
-		for bi, blk := range blocks {
-			par, pss, err := Sharded{Workers: 8, Shards: 4, OpLevel: op}.ExecuteSharded(work.Copy(), blk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq, sss, err := Sharded{Workers: 8, Shards: 4, OpLevel: op, SequentialMerge: true}.
-				ExecuteSharded(work.Copy(), blk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.Root != seq.Root {
-				t.Fatalf("op=%v block %d: SequentialMerge changed the root", op, bi)
-			}
-			if pss.Cross != sss.Cross || pss.CrossAborts != sss.CrossAborts {
-				t.Fatalf("op=%v block %d: classification drifted: %+v vs %+v", op, bi, pss, sss)
-			}
-			if pss.MergeUnits > sss.MergeUnits {
-				t.Fatalf("op=%v block %d: parallel merge units %d exceed sequential %d",
-					op, bi, pss.MergeUnits, sss.MergeUnits)
-			}
-			if _, _, err := (Sharded{Workers: 8, Shards: 4, OpLevel: op}).ExecuteSharded(work, blk); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 }

@@ -116,7 +116,7 @@ func (e STMExec) Execute(st *account.StateDB, blk *account.Block) (*Result, erro
 		GasSeq:     gasSeq,
 		// The speculation spread over the workers, then every retry
 		// sequentially at its commit point — the charge Speculative and
-		// Pipeline make for phase 1 and re-execution.
+		// the sharded engine make for phase 1 and re-execution.
 		GasPar:  ceilDivU(gasSeq, uint64(e.Workers)) + gasRetried,
 		Retries: retries,
 		//txlint:clock wall-clock timing metric only

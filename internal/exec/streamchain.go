@@ -7,14 +7,14 @@ import (
 	"txconcur/internal/core"
 )
 
-// ExecuteChainStream is Sharded.ExecuteChain over a live block stream: the
-// incremental chain driver behind the streaming block-builder service.
-// Blocks are consumed from the channel as the builder closes them, the
-// per-shard speculative phase 1 of a later block overlapping the
-// cross-shard commit of an earlier one exactly as in the batch driver; the
-// stream ends when the channel is closed (a nil block also ends it,
-// defensively). st is mutated on success, after every streamed block has
-// committed.
+// ExecuteChainStream is the sharded engine's chain driver: ExecuteChain
+// feeds it a slice and Execute a single block, and the streaming
+// block-builder service feeds it live. Blocks are consumed from the
+// channel as the producer closes them, the per-shard speculative phase 1
+// of a later block overlapping the cross-shard commit of an earlier one;
+// the stream ends when the channel is closed (a nil block also ends it,
+// defensively — ExecuteChain rejects nil blocks up front). st is mutated on
+// success, after every streamed block has committed.
 //
 // onCommit, if non-nil, fires synchronously after each block's writes are
 // durable on every shard — the hook the builder service uses to record
@@ -26,15 +26,14 @@ import (
 // Determinism: the fixed-lag snapshot discipline runs on epoch-relative
 // block positions, never on producer timing, so feeding the same block
 // sequence through a channel — however bursty — produces the same root,
-// receipts, re-execution counts and schedule stats as ExecuteChain on the
-// equivalent slice. The streaming tests pin that equivalence.
+// receipts, re-execution counts and schedule stats as a pre-filled one
+// (ExecuteChain). The streaming tests pin that equivalence.
 //
 // With an adaptive map and RebalanceEvery > 0 the stream is segmented into
-// epochs like the batch driver. At each boundary the driver must decide
-// whether more blocks are coming (the batch driver rebalances only between
-// epochs, never after the last block), so it blocks reading one look-ahead
-// block before migrating; a closed channel instead ends the chain with no
-// trailing rebalance — again matching the batch segmentation exactly.
+// epochs of RebalanceEvery blocks. The map rebalances only between epochs,
+// never after the last block, so at each boundary the driver blocks reading
+// one look-ahead block before migrating; a closed channel instead ends the
+// chain with no trailing rebalance.
 //
 // On error the committer aborts and the speculative stage stops reading the
 // channel; the caller owns stopping its producers (the builder does so via
@@ -51,7 +50,7 @@ func (e Sharded) ExecuteChainStream(st *account.StateDB, blocks <-chan *account.
 	am, adaptive := m.(core.AdaptiveShardMap)
 	// A streamed chain has no known length: without rebalancing the whole
 	// stream is one epoch (epochLen caps nothing), with rebalancing the
-	// boundary falls every RebalanceEvery blocks as in the batch driver.
+	// boundary falls every RebalanceEvery blocks.
 	epochLen := int(^uint(0) >> 1)
 	if adaptive && e.RebalanceEvery > 0 {
 		epochLen = e.RebalanceEvery
@@ -60,7 +59,7 @@ func (e Sharded) ExecuteChainStream(st *account.StateDB, blocks <-chan *account.
 		epochLen = 1
 	}
 
-	c := e.newShardedChain(st, m, 0)
+	c := e.newShardedChain(st, m)
 	c.startCheckpoints(e.Checkpoint)
 	var pushback *account.Block
 	for {
@@ -90,8 +89,8 @@ func (e Sharded) ExecuteChainStream(st *account.StateDB, blocks <-chan *account.
 			return nil, nil, err
 		}
 		if n < epochLen {
-			// The stream closed mid-epoch; the batch driver would not
-			// rebalance after its last block either.
+			// The stream closed mid-epoch: no rebalance after the last
+			// block.
 			break
 		}
 		// Epoch boundary: peek one block ahead (blocking — the pipeline is
