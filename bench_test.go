@@ -17,7 +17,6 @@ import (
 	"txconcur/internal/chainsim"
 	"txconcur/internal/core"
 	"txconcur/internal/exec"
-	"txconcur/internal/heat"
 	"txconcur/internal/mvstore"
 	"txconcur/internal/sched"
 )
@@ -191,24 +190,12 @@ func BenchmarkShardedPipelineComparison(b *testing.B) {
 	}
 }
 
-func BenchmarkAdaptiveShardingComparison(b *testing.B) {
-	// E11 at benchmark scale; the recorded baseline lives in
-	// docs/bench/E11-baseline.json (regenerate with
-	// `go run ./cmd/experiments -run adaptiveshard -json`).
-	for i := 0; i < b.N; i++ {
-		tbl, err := bench.AdaptiveShardingComparison(benchExecBlk, int64(2020+i),
-			bench.AdaptiveShardProfileNames(), []int{2, 8}, 8, 4)
-		renderAll(b, err)
-		renderAll(b, bench.RenderTable(io.Discard, tbl))
-	}
-}
-
 func BenchmarkTraceReplayComparison(b *testing.B) {
 	// E12 at benchmark scale; the recorded baseline lives in
 	// docs/bench/E12-baseline.json (regenerate with
 	// `go run ./cmd/experiments -run tracereplay -json`).
 	for i := 0; i < b.N; i++ {
-		tbl, err := bench.TraceReplayComparison(int64(2020+i), 8, 4, 2, 4)
+		tbl, err := bench.TraceReplayComparison(int64(2020+i), 8, 4, 2)
 		renderAll(b, err)
 		renderAll(b, bench.RenderTable(io.Discard, tbl))
 	}
@@ -401,16 +388,6 @@ func BenchmarkShardedChain(b *testing.B) {
 	b.Run("one-shard", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := (exec.Sharded{Workers: 8, Shards: 1, Depth: 2}).ExecuteChain(pre.Copy(), blocks); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// The adaptive map's full bill: heat observation on every block plus a
-	// rebalance-and-migrate barrier every other block.
-	b.Run("adaptive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := exec.Sharded{Workers: 8, Depth: 2, Map: heat.NewAdaptiveMap(4, nil), RebalanceEvery: 2}
-			if _, _, err := e.ExecuteChain(pre.Copy(), blocks); err != nil {
 				b.Fatal(err)
 			}
 		}

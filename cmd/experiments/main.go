@@ -10,14 +10,13 @@
 // The -run filter selects experiments by name (tableI, fig1, fig4, fig5,
 // fig6, fig7, fig8, fig9, fig10, summary, exec, sched, approxtdg,
 // interblock, utxoexec, sharding, shardingexec, shardedpipeline,
-// adaptiveshard, tracereplay, census, pipeline, oplevel). With -json,
+// tracereplay, census, pipeline, oplevel). With -json,
 // table experiments emit one JSON object per table (figures stay text) —
 // the format of the recorded benchmark baselines. Wall-clock service
 // numbers are not an experiment here: they come from the nodebench
 // harness under benchmarks/. Note that "-run sharding" matches the
 // analytical E6 (sharding), the executable E9 (shardingexec) and the
-// pipelined E10 (shardedpipeline), and "-run shard" additionally matches
-// the adaptive E11 (adaptiveshard); anchor the regexp ("sharding$") to run
+// pipelined E10 (shardedpipeline); anchor the regexp ("sharding$") to run
 // E6 alone.
 //
 // -cpuprofile and -trace write a pprof CPU profile / runtime execution
@@ -249,17 +248,8 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	if want("adaptiveshard") {
-		tbl, err := bench.AdaptiveShardingComparison(*execBlocks, *seed, bench.AdaptiveShardProfileNames(), []int{2, 4, 8}, 8, 4)
-		if err != nil {
-			return fmt.Errorf("adaptiveshard: %w", err)
-		}
-		if err := renderTable(out, tbl); err != nil {
-			return err
-		}
-	}
 	if want("tracereplay") {
-		tbl, err := bench.TraceReplayComparison(*seed, 8, 4, 2, 4)
+		tbl, err := bench.TraceReplayComparison(*seed, 8, 4, 2)
 		if err != nil {
 			return fmt.Errorf("tracereplay: %w", err)
 		}

@@ -49,8 +49,7 @@ func TestRunShardingExecJSON(t *testing.T) {
 }
 
 // TestRunJSON runs the other recorded-baseline experiments (E1–E7,
-// E10–E12) with -json against their docs/bench baselines. adaptiveshard
-// keeps 6 blocks so a rebalance epoch still runs.
+// E10, E12) with -json against their docs/bench baselines.
 func TestRunJSON(t *testing.T) {
 	for _, tc := range []struct {
 		name, baseline string
@@ -64,7 +63,6 @@ func TestRunJSON(t *testing.T) {
 		{"sharding", "E6", []string{"-execblocks", "1"}},
 		{"pipeline", "E7", []string{"-execblocks", "1"}},
 		{"shardedpipeline", "E10", []string{"-execblocks", "1"}},
-		{"adaptiveshard", "E11", []string{"-execblocks", "6"}},
 		{"tracereplay", "E12", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,27 +6,20 @@
 // group conflict rate measured on the operation-level (delta-refined) TDG,
 // adding an "Eq.(2) op-level" column that shows what commutativity buys —
 // on hot-key workloads the refined rate l' is far below the key-level l.
-// The optional -shards flag adds three columns: "Sharded", the per-block
+// The optional -shards flag adds two columns: "Sharded", the per-block
 // sharded-engine model (core.ShardedSpeedup) for s committees with
 // cross-shard fraction -cross and cross-shard abort rate -abort (a=1 is the
 // key-level worst case, a=0 the commutative-delta limit E9 measures at op
 // level); "Sharded pipelined", the chain-steady-state model of
 // Sharded.ExecuteChain (core.ShardedPipelineSpeedup) where phase 1 of block
 // b+1 overlaps the cross-shard commit of block b and the merge re-executes
-// aborted transactions in parallel waves — the configuration E10 measures;
-// and "Adaptive", the adaptive-placement model
-// (core.AdaptiveShardedSpeedup) where a learned assignment converts the
-// -locality share of the cross-shard stream into intra-shard work at an
-// amortised migration cost of -migrate time units per block — the
-// configuration E11 measures (λ near 1 on its stationary Skew workload,
-// λ = 0 with μ > 0 on its Uniform control).
+// aborted transactions in parallel waves — the configuration E10 measures.
 //
 // Usage:
 //
 //	speedup -txs 100 -single 0.6 -group 0.2 -cores 4,8,64
 //	speedup -txs 100 -single 0.6 -group 0.8 -groupop 0.05 -cores 8,64
 //	speedup -txs 100 -single 0.3 -shards 4 -cross 0.8 -abort 0.2 -cores 8,64
-//	speedup -txs 100 -single 0.3 -shards 4 -cross 0.8 -abort 0.2 -locality 0.7 -migrate 0.5 -cores 8,64
 package main
 
 import (
@@ -58,8 +51,6 @@ func run(args []string) error {
 	shardsN := fs.Int("shards", 0, "shard count s for the sharded-engine column (0 disables the column)")
 	cross := fs.Float64("cross", 0.5, "cross-shard transaction fraction χ (with -shards)")
 	abortRate := fs.Float64("abort", 1, "cross-shard abort rate a: share of cross-shard txs re-executed in the merge (with -shards)")
-	locality := fs.Float64("locality", 0.6, "adaptive-placement locality λ: share of cross-shard traffic a learned assignment converts to intra-shard (with -shards)")
-	migrate := fs.Float64("migrate", 0.5, "adaptive-placement migration cost μ in time units per block, amortised over the epoch (with -shards)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -77,8 +68,7 @@ func run(args []string) error {
 		title += fmt.Sprintf(", l'=%.2f (op-level)", *groupOp)
 	}
 	if *shardsN > 0 {
-		title += fmt.Sprintf(", s=%d, χ=%.2f, a=%.2f, λ=%.2f, μ=%.1f (sharded)",
-			*shardsN, *cross, *abortRate, *locality, *migrate)
+		title += fmt.Sprintf(", s=%d, χ=%.2f, a=%.2f (sharded)", *shardsN, *cross, *abortRate)
 	}
 	t := bench.Table{
 		Title: title,
@@ -90,7 +80,7 @@ func run(args []string) error {
 		t.Headers = append(t.Headers, "Eq.(2) op-level")
 	}
 	if *shardsN > 0 {
-		t.Headers = append(t.Headers, "Sharded", "Sharded pipelined", "Adaptive")
+		t.Headers = append(t.Headers, "Sharded", "Sharded pipelined")
 	}
 	for _, n := range cores {
 		eq1, err := core.SpeculativeSpeedup(*txs, *single, n)
@@ -142,15 +132,7 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			adaptive, err := core.AdaptiveShardedSpeedup(*txs, *single, *cross, n, *shardsN,
-				*abortRate, *locality, *migrate)
-			if err != nil {
-				return err
-			}
-			row = append(row,
-				fmt.Sprintf("%.2fx", sharded),
-				fmt.Sprintf("%.2fx", piped),
-				fmt.Sprintf("%.2fx", adaptive))
+			row = append(row, fmt.Sprintf("%.2fx", sharded), fmt.Sprintf("%.2fx", piped))
 		}
 		t.Rows = append(t.Rows, row)
 	}

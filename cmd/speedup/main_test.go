@@ -43,16 +43,3 @@ func TestRunShardedColumn(t *testing.T) {
 		t.Fatal("out-of-domain abort rate accepted")
 	}
 }
-
-func TestRunAdaptiveColumn(t *testing.T) {
-	if err := run([]string{"-txs", "100", "-single", "0.3", "-shards", "4", "-cross", "0.8",
-		"-abort", "0.2", "-locality", "0.7", "-migrate", "0.5", "-cores", "8,64"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-shards", "4", "-locality", "1.5"}); err == nil {
-		t.Fatal("out-of-domain locality accepted")
-	}
-	if err := run([]string{"-shards", "4", "-migrate", "-1"}); err == nil {
-		t.Fatal("negative migration cost accepted")
-	}
-}

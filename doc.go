@@ -19,17 +19,14 @@
 // chain driver runs over multi-version per-shard caches (internal/mvstore)
 // so phase 1 of block b+1 overlaps phase 2 of block b. With one shard it
 // is the paper's cross-block pipeline, whose speed-up is not bounded by a
-// single global commit lock. Adaptive conflict-heat shard assignment
-// (internal/heat behind core.ShardMap) is layered on top: it learns
-// conflict communities across blocks and migrates them between shards at
-// epoch boundaries.
+// single global commit lock.
 //
 // See README.md for the layout, the paper-section → package map, and how
 // to run each command; see docs/ARCHITECTURE.md for the execution
 // engines, their serial-equivalence guarantees, and when each wins; see
-// docs/EXPERIMENTS.md for the E1–E11 experiment catalogue (paper section,
-// profiles, invocation, JSON schema, recorded baselines). The benchmarks
-// in bench_test.go regenerate every table and figure:
+// docs/EXPERIMENTS.md for the E1–E10 and E12 experiment catalogue (paper
+// section, profiles, invocation, JSON schema, recorded baselines). The
+// benchmarks in bench_test.go regenerate every table and figure:
 //
 //	go test -bench=. -benchmem
 package txconcur

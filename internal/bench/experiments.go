@@ -7,7 +7,6 @@ import (
 	"txconcur/internal/chainsim"
 	"txconcur/internal/core"
 	"txconcur/internal/exec"
-	"txconcur/internal/heat"
 	"txconcur/internal/sched"
 	"txconcur/internal/types"
 	"txconcur/internal/utxo"
@@ -576,138 +575,6 @@ func ShardedPipelineComparison(blocks int, seed int64, profiles []string, shardC
 		}
 	}
 	return t, nil
-}
-
-// AdaptiveShardingComparison is experiment E11: static FNV-1a shard
-// assignment vs the adaptive conflict-heat assignment (core.ShardMap /
-// internal/heat), on the placement stress workloads, per shard count. The
-// static engine pays the cross-shard merge for every transaction whose
-// sender and receiver hash to different committees — forever, because
-// nothing ever moves. The adaptive engine learns per-address access and
-// conflict heat across blocks (exponential decay), clusters addresses that
-// keep being serialised together, and co-locates each cluster at epoch
-// boundaries, migrating the moved state between the per-shard stores; the
-// same heat signal orders the merge's re-execution waves so hot
-// communities lead waves instead of riding on stale predictions. The table
-// reports both engines' chain speed-up and cross-shard abort rate
-// ("static -> adaptive", key-level and op-level) plus the adaptive run's
-// migration bill (keys copied, schedule units charged, rebalance epochs).
-// "Shard Uniform" rides along as the no-structure control: nothing is
-// placeable there, so the adaptive column prices the pure epoch-barrier
-// tax. Every run, in both modes and at every shard count, is verified
-// root-for-root (and receipt-for-receipt for the adaptive runs) against
-// the sequential replay.
-func AdaptiveShardingComparison(blocks int, seed int64, profiles []string, shardCounts []int,
-	workers, rebalanceEvery int) (Table, error) {
-	t := Table{
-		Name: "adaptiveshard",
-		Title: fmt.Sprintf(
-			"E11: adaptive conflict-heat shard assignment — static -> adaptive (%d workers, rebalance every %d blocks)",
-			workers, rebalanceEvery),
-		Headers: []string{
-			"Chain", "Shards", "Speed-up (key)", "Speed-up (op)", "Abort (key)", "Abort (op)",
-			"Migrated", "Mig units", "Epochs",
-		},
-	}
-	for _, profile := range profiles {
-		pre, blks, err := prepareChain(profile, blocks, seed)
-		if err != nil {
-			return t, err
-		}
-		_, oracles, _, seqRoot, err := replayChain(profile, pre, blks)
-		if err != nil {
-			return t, err
-		}
-		var seqUnits int
-		for _, blk := range blks {
-			seqUnits += len(blk.Txs)
-		}
-		for _, shards := range shardCounts {
-			// [mode][0]=static, [mode][1]=adaptive. The migration bill is
-			// per mode too: op-level deltas change which transactions
-			// serialise, hence the heat profile and the moves.
-			var par, crossTx, aborts [2][2]int
-			var migrated, migUnits [2]int
-			var epochs int
-			for mode := 0; mode < 2; mode++ {
-				op := mode == 1
-				for variant := 0; variant < 2; variant++ {
-					e := exec.Sharded{Workers: workers, Shards: shards, OpLevel: op, Depth: 2}
-					if variant == 1 {
-						// A fresh map per run: the profile must be learned
-						// from this chain alone.
-						e.Map = heat.NewAdaptiveMap(shards, nil)
-						e.RebalanceEvery = rebalanceEvery
-					}
-					cr, css, err := e.ExecuteChain(pre.Copy(), blks)
-					if err != nil {
-						return t, fmt.Errorf("%s s=%d op=%v adaptive=%v: %w", profile, shards, op, variant == 1, err)
-					}
-					ctx := fmt.Sprintf("%s s=%d op=%v adaptive=%v", profile, shards, op, variant == 1)
-					if err := verifyChainRoot(ctx, cr.Root, seqRoot); err != nil {
-						return t, err
-					}
-					if variant == 1 {
-						if err := verifyChainReceipts(ctx, cr.Receipts, oracles); err != nil {
-							return t, err
-						}
-						migrated[mode] = css.Migrations
-						migUnits[mode] = css.MigrationUnits
-						// The epoch count is a function of the block count
-						// and cadence alone, identical across modes.
-						epochs = css.RebalanceEpochs
-					}
-					par[mode][variant] += cr.Stats.ParUnits
-					crossTx[mode][variant] += css.Cross
-					aborts[mode][variant] += css.CrossAborts
-				}
-			}
-			if seqUnits == 0 {
-				continue
-			}
-			ratio := func(p int) float64 {
-				if p <= 0 {
-					return 1
-				}
-				return float64(seqUnits) / float64(p)
-			}
-			rate := func(part, whole int) float64 {
-				if whole == 0 {
-					return 0
-				}
-				return 100 * float64(part) / float64(whole)
-			}
-			pair := func(mode int) string {
-				return fmt.Sprintf("%.2fx -> %.2fx", ratio(par[mode][0]), ratio(par[mode][1]))
-			}
-			abortPair := func(mode int) string {
-				return fmt.Sprintf("%.1f%% -> %.1f%%",
-					rate(aborts[mode][0], max(crossTx[mode][0], 1)),
-					rate(aborts[mode][1], max(crossTx[mode][1], 1)))
-			}
-			t.Rows = append(t.Rows, []string{
-				profile,
-				fmt.Sprintf("%d", shards),
-				pair(0),
-				pair(1),
-				abortPair(0),
-				abortPair(1),
-				fmt.Sprintf("%d -> %d", migrated[0], migrated[1]),
-				fmt.Sprintf("%d -> %d", migUnits[0], migUnits[1]),
-				fmt.Sprintf("%d", epochs),
-			})
-		}
-	}
-	return t, nil
-}
-
-// AdaptiveShardProfileNames are the workloads E11 runs by default: a
-// stationary consolidation skew (one good placement fixes it), the
-// drifting hotspot (placement must be re-learned era after era), and
-// uniform traffic as the control that prices the epoch-barrier tax when
-// nothing is placeable.
-func AdaptiveShardProfileNames() []string {
-	return []string{"Shard Skew", "Shard Drift", "Shard Uniform"}
 }
 
 // InterBlockConcurrency is experiment E4: the paper's §VII lists

@@ -6,7 +6,6 @@ import (
 	"txconcur/internal/account"
 	"txconcur/internal/dataset"
 	"txconcur/internal/exec"
-	"txconcur/internal/heat"
 )
 
 // traceRun accumulates one engine's schedule accounting across a replayed
@@ -44,7 +43,7 @@ func traceReceiptsMatch(got, want []*account.Receipt) error {
 }
 
 // TraceReplayComparison is experiment E12: real-conflict trace replay.
-// Where E7–E11 measure the engines on synthetic chain-simulator
+// Where E7–E10 measure the engines on synthetic chain-simulator
 // workloads, E12 feeds them recorded read/write sets — the committed
 // golden fixture plus a deterministic ERC20-shaped trace (hot-token
 // transfers, airdrop fan-outs, DEX pool contention, cold payments) from
@@ -52,9 +51,9 @@ func traceReceiptsMatch(got, want []*account.Receipt) error {
 // dataset.BuildReplayChain into VM-executable blocks whose storage
 // accesses reproduce the trace's conflict structure exactly, and replayed
 // through every engine: per-block Speculative, STM and Sharded, plus the
-// chain-level one-shard pipeline, static Sharded and adaptive
-// (conflict-heat) Sharded. Every run, in both key-level and op-level mode, is verified
-// root-for-root and receipt-for-receipt against the sequential replay.
+// chain-level one-shard pipeline and Sharded chain. Every run, in both
+// key-level and op-level mode, is verified root-for-root and
+// receipt-for-receipt against the sequential replay.
 //
 // The trace's measured per-transaction costs drive the engines' gas
 // accounting through the CostModel hook (exec.Speculative.Cost et al.), so
@@ -62,7 +61,7 @@ func traceReceiptsMatch(got, want []*account.Receipt) error {
 // transactions cost on the source chain rather than by the toy VM's gas;
 // the driver cross-checks that every engine's GasSeq equals the trace's
 // total measured cost.
-func TraceReplayComparison(seed int64, workers, shards, depth, rebalanceEvery int) (Table, error) {
+func TraceReplayComparison(seed int64, workers, shards, depth int) (Table, error) {
 	t := Table{
 		Name: "tracereplay",
 		Title: fmt.Sprintf(
@@ -89,7 +88,7 @@ func TraceReplayComparison(seed int64, workers, shards, depth, rebalanceEvery in
 		{"erc20-gen", gen},
 	}
 
-	engines := []string{"Speculative", "STM", "Sharded/block", "Pipeline", "Sharded chain", "Adaptive chain"}
+	engines := []string{"Speculative", "STM", "Sharded/block", "Pipeline", "Sharded chain"}
 	for _, tc := range traces {
 		rc, err := dataset.BuildReplayChain(tc.tr)
 		if err != nil {
@@ -109,7 +108,7 @@ func TraceReplayComparison(seed int64, workers, shards, depth, rebalanceEvery in
 		}
 
 		// runs[engine][mode], mode 0 = key-level, 1 = op-level.
-		var runs [6][2]traceRun
+		var runs [5][2]traceRun
 		for mode := 0; mode < 2; mode++ {
 			op := mode == 1
 			perBlock := []struct {
@@ -148,14 +147,6 @@ func TraceReplayComparison(seed int64, workers, shards, depth, rebalanceEvery in
 				{4, func() (*exec.ChainResult, error) {
 					cr, _, err := exec.Sharded{Workers: workers, Shards: shards, OpLevel: op, Depth: depth,
 						Cost: rc.TxCost}.ExecuteChain(rc.Pre.Copy(), rc.Blocks)
-					return cr, err
-				}},
-				{5, func() (*exec.ChainResult, error) {
-					// A fresh adaptive map per run: the placement must be
-					// learned from this trace alone.
-					cr, _, err := exec.Sharded{Workers: workers, Shards: shards, OpLevel: op, Depth: depth,
-						Cost: rc.TxCost, Map: heat.NewAdaptiveMap(shards, nil),
-						RebalanceEvery: rebalanceEvery}.ExecuteChain(rc.Pre.Copy(), rc.Blocks)
 					return cr, err
 				}},
 			}

@@ -81,8 +81,8 @@ type AcctGen struct {
 	exchanges []types.Address
 	hot       []types.Address // hot receivers: credit-only, never send
 	// Sweep bots and their paired collectors (bot i always pays
-	// collectors[i]): the drifting-hotspot machinery of the adaptive
-	// sharding workloads. Bots are dedicated senders outside the user
+	// collectors[i]): the machinery of the Shard Skew and Shard Drift
+	// workloads. Bots are dedicated senders outside the user
 	// pool, so their nonce chains are not diluted by role reassignment.
 	bots       []types.Address
 	botNonces  []uint64

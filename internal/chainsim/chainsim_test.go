@@ -484,10 +484,9 @@ func TestShardProfiles(t *testing.T) {
 	}
 }
 
-// TestAdaptiveShardProfiles checks the adaptive-placement workloads (E11):
-// well formed, reachable by name, sweep-dominated, and — the property the
-// whole experiment rests on — the drift profile's active bot window really
-// rotates onto fresh collector addresses between eras.
+// TestAdaptiveShardProfiles checks the sweep-bot workloads: well formed,
+// reachable by name, sweep-dominated, and the drift profile's active bot
+// window really rotates onto fresh collector addresses between eras.
 func TestAdaptiveShardProfiles(t *testing.T) {
 	ps := AdaptiveShardProfiles()
 	if len(ps) != 2 {

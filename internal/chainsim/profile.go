@@ -111,7 +111,7 @@ type Era struct {
 	// HotReceivers is the number of distinct hot receiver addresses.
 	HotReceivers int
 
-	// Sweep-bot knobs (the drifting-hotspot workloads of E11). A sweep bot
+	// Sweep-bot knobs (the Shard Skew and Shard Drift workloads). A sweep bot
 	// is a dedicated sender — an exchange consolidation script, a payout
 	// pool — that issues long same-sender nonce chains into its own fixed
 	// collector address. Under sender-committee sharding the bot and its
@@ -125,8 +125,7 @@ type Era struct {
 	// HotSenders is the number of concurrently active bot/collector pairs.
 	HotSenders int
 	// HotSenderRotate offsets the active window into the bot pool: eras
-	// with different offsets drift the hotspot onto fresh addresses, which
-	// is what forces an adaptive assignment to keep re-learning.
+	// with different offsets drift the hotspot onto fresh addresses.
 	HotSenderRotate int
 }
 
@@ -222,15 +221,15 @@ func ShardProfiles() []Profile {
 	}
 }
 
-// AdaptiveShardProfiles returns the placement stress workloads used by the
-// adaptive-sharding experiment (E11). Both are dominated by sweep bots —
-// dedicated senders issuing nonce chains into fixed collector addresses —
-// whose bot/collector pairs land on different shards under static FNV
-// assignment, so nearly every sweep is cross-shard and its nonce chain
-// serialises the merge. "Shard Skew" keeps the same bots active for the
-// whole history (one good placement fixes it forever); "Shard Drift"
-// rotates the active bot window era by era, so a learned placement decays
-// and must be re-learned — the workload the ROADMAP's adaptive items name.
+// AdaptiveShardProfiles returns the sweep-bot workloads, built for the
+// retired adaptive-placement experiment E11 and kept as sharded-engine
+// stress (nodebench's sat-hotkey streams Shard Skew). Both are dominated
+// by sweep bots — dedicated senders issuing nonce chains into fixed
+// collector addresses — whose bot/collector pairs land on different
+// shards under FNV assignment, so nearly every sweep is cross-shard and
+// its nonce chain serialises the merge. "Shard Skew" keeps the same bots
+// active for the whole history; "Shard Drift" rotates the active bot
+// window era by era onto fresh addresses.
 func AdaptiveShardProfiles() []Profile {
 	return []Profile{
 		ShardSkewProfile(),
@@ -240,7 +239,7 @@ func AdaptiveShardProfiles() []Profile {
 
 // ProfileByName returns the profile with the given name and whether it
 // exists, searching the paper's Table I chains and the hot-key,
-// cross-shard, and adaptive-placement extension profiles.
+// cross-shard and sweep-bot extension profiles.
 func ProfileByName(name string) (Profile, bool) {
 	for _, p := range AllProfiles() {
 		if p.Name == name {
@@ -580,10 +579,9 @@ func ShardSkewProfile() Profile {
 // ShardDriftProfile models a drifting consolidation hotspot: the same
 // sweep-bot traffic as Shard Skew, but the active bot window rotates onto
 // four fresh bot/collector pairs at every era boundary — yesterday's
-// placement is worthless tomorrow. This is the E11 headline workload: a
-// static assignment pays the cross-shard merge on every era, an adaptive
-// assignment re-learns the pairs within an epoch or two of each drift and
-// pays only the migration.
+// placement is worthless tomorrow. It was the headline workload of the
+// retired adaptive-placement experiment E11; static assignment pays the
+// cross-shard merge on every era.
 func ShardDriftProfile() Profile {
 	era := func(name string, start int64, rotate int) Era {
 		return Era{Name: name, Weight: 1, StartTime: start, BlockInterval: 15,

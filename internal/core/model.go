@@ -250,60 +250,6 @@ func ShardedPipelineSpeedup(x int, c, cross float64, n, s int, abortRate float64
 	return float64(x) / perBlock, nil
 }
 
-// AdaptiveShardedSpeedup models the pipelined sharded engine under an
-// adaptive shard assignment (internal/exec.Sharded.ExecuteChain with a
-// heat.AdaptiveMap), in the *dependent-stream* regime the E11 workloads
-// live in: the aborted cross-shard transactions are same-community chains
-// (a sweep bot's nonce sequence into its collector), so the merge's
-// re-execution waves degenerate to width one and the merge tail is serial
-// — a·χ·x units, not the a·χ·x/n of ShardedPipelineSpeedup's key-disjoint
-// ideal. A learned placement co-locates each community with its
-// counterparty, converting the locality share λ of that serial cross
-// stream into intra-shard bin work, which still serialises *within* its
-// community but runs in parallel *across* the s shards the communities
-// were spread over; the boundary migrations amortise to μ time units per
-// block. The steady state is
-//
-//	R = x / ( max( ⌈x/n⌉ , (c·(1−χ)·x + λ·a·χ·x)/s + (1−λ)·a·χ·x ) + μ )
-//
-// λ = 0, μ = 0 is the static map on a dependent stream (the E11 Skew/Drift
-// static columns); λ near 1 divides the whole conflict tail by s (the
-// adaptive Skew rows). The migration term is why rebalancing a workload
-// with no persistent structure (λ ≈ 0 but μ > 0, the E11 Shard Uniform
-// control) can only lose.
-func AdaptiveShardedSpeedup(x int, c, cross float64, n, s int, abortRate, locality, migPerBlock float64) (float64, error) {
-	if err := checkDomain(x, n, c); err != nil {
-		return 0, err
-	}
-	if cross < 0 || cross > 1 {
-		return 0, fmt.Errorf("%w: cross = %g", ErrModelDomain, cross)
-	}
-	if abortRate < 0 || abortRate > 1 {
-		return 0, fmt.Errorf("%w: abort rate = %g", ErrModelDomain, abortRate)
-	}
-	if locality < 0 || locality > 1 {
-		return 0, fmt.Errorf("%w: locality = %g", ErrModelDomain, locality)
-	}
-	if migPerBlock < 0 {
-		return 0, fmt.Errorf("%w: migration cost = %g", ErrModelDomain, migPerBlock)
-	}
-	if s < 1 {
-		return 0, fmt.Errorf("%w: shards = %d", ErrModelDomain, s)
-	}
-	if x == 0 {
-		return 1, nil
-	}
-	spread := math.Ceil(float64(x) / float64(n))
-	serialCross := abortRate * cross * float64(x)
-	ordered := (c*(1-cross)*float64(x)+locality*serialCross)/float64(s) +
-		(1-locality)*serialCross
-	perBlock := spread
-	if ordered > perBlock {
-		perBlock = ordered
-	}
-	return float64(x) / (perBlock + migPerBlock), nil
-}
-
 // BlockSpeedups evaluates all model variants for one measured block.
 type BlockSpeedups struct {
 	// Speculative is equation (1) with the block's single-transaction

@@ -426,80 +426,3 @@ func TestShardedPipelineSpeedup(t *testing.T) {
 		}
 	}
 }
-
-func TestAdaptiveShardedSpeedup(t *testing.T) {
-	// λ = 0, μ = 0 is the static map on a dependent stream: never above the
-	// key-disjoint ideal of ShardedPipelineSpeedup, and monotone in λ
-	// (co-locating more of a serial cross stream cannot hurt when s > 1 and
-	// migration is free).
-	for _, x := range []int{10, 100, 500} {
-		for _, c := range []float64{0, 0.2, 0.6} {
-			for _, cross := range []float64{0, 0.5, 0.9} {
-				ideal, err := ShardedPipelineSpeedup(x, c, cross, 8, 4, 0.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				static, err := AdaptiveShardedSpeedup(x, c, cross, 8, 4, 0.5, 0, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if static > ideal+1e-9 {
-					t.Fatalf("x=%d c=%v χ=%v: dependent-stream static %v above key-disjoint ideal %v",
-						x, c, cross, static, ideal)
-				}
-				prev := 0.0
-				for _, lam := range []float64{0, 0.3, 0.6, 1} {
-					r, err := AdaptiveShardedSpeedup(x, c, cross, 8, 4, 0.5, lam, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if r < prev-1e-9 {
-						t.Fatalf("x=%d c=%v χ=%v: speed-up not monotone in locality", x, c, cross)
-					}
-					prev = r
-				}
-			}
-		}
-	}
-	// The merge-bound regime strictly improves with locality.
-	lo, err := AdaptiveShardedSpeedup(400, 0.1, 0.9, 8, 4, 1, 0.2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi, err := AdaptiveShardedSpeedup(400, 0.1, 0.9, 8, 4, 1, 0.9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hi <= lo {
-		t.Fatalf("locality 0.9 (%v) not above 0.2 (%v) in a merge-bound regime", hi, lo)
-	}
-	// Migration cost on a structureless workload (λ = 0) can only lose —
-	// the E11 Shard Uniform control.
-	free, err := AdaptiveShardedSpeedup(100, 0.1, 0.3, 8, 4, 0.3, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	taxed, err := AdaptiveShardedSpeedup(100, 0.1, 0.3, 8, 4, 0.3, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if taxed >= free {
-		t.Fatalf("migration tax did not reduce the speed-up: %v vs %v", taxed, free)
-	}
-	// Degenerate and domain cases.
-	if r, err := AdaptiveShardedSpeedup(0, 0.5, 0.5, 8, 4, 1, 0.5, 1); err != nil || r != 1 {
-		t.Fatalf("x=0: %v, %v", r, err)
-	}
-	for _, bad := range []func() (float64, error){
-		func() (float64, error) { return AdaptiveShardedSpeedup(10, 0.5, 0.5, 8, 4, 1, -0.1, 0) },
-		func() (float64, error) { return AdaptiveShardedSpeedup(10, 0.5, 0.5, 8, 4, 1, 1.1, 0) },
-		func() (float64, error) { return AdaptiveShardedSpeedup(10, 0.5, 0.5, 8, 4, 1, 0.5, -1) },
-		func() (float64, error) { return AdaptiveShardedSpeedup(10, 0.5, 1.5, 8, 4, 1, 0.5, 0) },
-		func() (float64, error) { return AdaptiveShardedSpeedup(10, 0.5, 0.5, 8, 0, 1, 0.5, 0) },
-		func() (float64, error) { return AdaptiveShardedSpeedup(10, 0.5, 0.5, 0, 4, 1, 0.5, 0) },
-	} {
-		if _, err := bad(); err == nil {
-			t.Fatal("out-of-domain parameters accepted")
-		}
-	}
-}

@@ -28,10 +28,9 @@ const (
 // reduction: taking the leading 8 bytes directly skews the assignment for
 // structured or low-entropy addresses (e.g. counter-derived test addresses
 // whose leading bytes are constant, which would all land on one shard), and
-// plain truncation interacts badly with non-power-of-two n. This is the
-// baseline assignment behind every ShardMap (shardmap.go): StaticShardMap
-// is exactly this function, and the override/adaptive maps fall through to
-// it for every address they do not explicitly place.
+// plain truncation interacts badly with non-power-of-two n. The sharded
+// execution engine (internal/exec.Sharded) partitions its state by exactly
+// this function.
 func ShardOf(a types.Address, n int) int {
 	if n <= 1 {
 		return 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"txconcur/internal/types"
@@ -32,6 +33,28 @@ func TestShardOf(t *testing.T) {
 		if c < 800 || c > 1200 {
 			t.Fatalf("shard %d has %d of 4000 addresses (poor balance)", s, c)
 		}
+	}
+}
+
+// TestStaticShardMapMatchesShardOf pins the static assignment the sharded
+// engine partitions its state by: ShardOf is FNV-1a over the full address,
+// reduced mod n, for power-of-two and other counts alike, and a
+// non-positive count clamps to the single shard 0.
+func TestStaticShardMapMatchesShardOf(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 8, 16} {
+		for i := uint64(0); i < 500; i++ {
+			a := addr("shardmap/static", i)
+			h := fnv.New64a()
+			h.Write(a[:])
+			want := int(h.Sum64() % uint64(n))
+			if got := ShardOf(a, n); got != want {
+				t.Fatalf("n=%d: ShardOf(%v) = %d, want FNV-1a shard %d", n, a, got, want)
+			}
+		}
+	}
+	a := addr("shardmap/static", 1)
+	if ShardOf(a, 0) != 0 || ShardOf(a, -3) != 0 {
+		t.Fatal("non-positive shard count did not clamp to shard 0")
 	}
 }
 

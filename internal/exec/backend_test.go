@@ -88,15 +88,15 @@ func TestBoundedBackendQuickEquivalence(t *testing.T) {
 	property := func(seed int64, budgetSel, shardSel uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		budget := quickBudget(budgetSel)
-		m := core.StaticShardMap(1 + int(shardSel%2))
+		shards := 1 + int(shardSel%2)
 		mvC := mvstore.NewStoreDelta[StateKey, stateVal](mergeStateVal)
 		store, err := basestore.OpenStore(wal.NewMemFS(), "base")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer store.Close()
-		e := Sharded{Workers: 1, Backend: store, CacheBudget: budget}
-		c := e.newShardedChain(pre.Copy(), m)
+		e := Sharded{Workers: 1, Shards: shards, Backend: store, CacheBudget: budget}
+		c := e.newShardedChain(pre.Copy())
 
 		randKey := func() StateKey {
 			a := addrs[rng.Intn(nAddr)]
@@ -132,12 +132,12 @@ func TestBoundedBackendQuickEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Every shard commits at every timestamp, as the chain drivers do.
-			parts := make([]map[StateKey]mvstore.Write[stateVal], m.Shards())
+			parts := make([]map[StateKey]mvstore.Write[stateVal], shards)
 			for sh := range parts {
 				parts[sh] = make(map[StateKey]mvstore.Write[stateVal])
 			}
 			for k, w := range writes {
-				parts[m.Shard(k.Addr)][k] = w
+				parts[core.ShardOf(k.Addr, shards)][k] = w
 			}
 			for sh, mv := range c.mvs {
 				if err := mv.CommitWrites(ts, parts[sh]); err != nil {
@@ -148,9 +148,9 @@ func TestBoundedBackendQuickEquivalence(t *testing.T) {
 			// clock bits, so eviction interleaves with second chances.
 			for n := rng.Intn(6); n > 0; n-- {
 				k := randKey()
-				if got, want := readThrough(c.mvs[m.Shard(k.Addr)], c.bs, k, ts), readThrough(mvC, pre, k, ts); got != want {
+				if got, want := readThrough(c.mvs[core.ShardOf(k.Addr, shards)], c.bs, k, ts), readThrough(mvC, pre, k, ts); got != want {
 					t.Logf("seed %d budget %d shards %d ts %d key %+v: bounded read %q, control %q",
-						seed, budget, m.Shards(), ts, k, got, want)
+						seed, budget, shards, ts, k, got, want)
 					return false
 				}
 			}
@@ -174,7 +174,7 @@ func TestBoundedBackendQuickEquivalence(t *testing.T) {
 		stC.DiscardJournal()
 		if cr.Root != stC.Root() {
 			t.Logf("seed %d budget %d shards %d: bounded root %s, control %s",
-				seed, budget, m.Shards(), cr.Root.Short(), stC.Root().Short())
+				seed, budget, shards, cr.Root.Short(), stC.Root().Short())
 			return false
 		}
 		return true
@@ -326,6 +326,66 @@ func TestBoundedChainBackendErrorPropagates(t *testing.T) {
 		close(ch)
 		if _, _, err := e.ExecuteChainStream(pre.Copy(), ch, nil); !errors.Is(err, boom) {
 			t.Fatalf("stream %s fault: err = %v, want the injected failure", tc.name, err)
+		}
+	}
+}
+
+// TestStreamChainBackendErrorWithOpenChannel: a backend fault that hits
+// while the block channel is still open — unbuffered, never closed, its
+// producer still running — must abort the stream with the injected error
+// within a deadline. Two producers: one that keeps offering blocks, and
+// one that stalls after the blocks the fault needs (one for a read fault,
+// four for an eviction fault at depth 2), so the speculative stage is
+// parked on the channel read when the committer aborts and only the
+// read's quit arm lets it exit.
+func TestStreamChainBackendErrorWithOpenChannel(t *testing.T) {
+	pre, blocks, err := chainsim.GenerateAccountChain(chainsim.ShardUniformProfile(), 6, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("backend boom")
+	for _, tc := range []struct {
+		name  string
+		set   func(*faultyBackend)
+		stall int // blocks the stalling producer sends before it stops
+	}{
+		{"get", func(f *faultyBackend) { f.failGet = boom }, 1},
+		{"apply", func(f *faultyBackend) { f.failApply = boom }, 4},
+	} {
+		for _, stalls := range []bool{false, true} {
+			fb := newFaultyBackend()
+			tc.set(fb)
+			e := Sharded{Workers: 4, Shards: 2, Depth: 2, Backend: fb, CacheBudget: 0}
+			ch := make(chan *account.Block)
+			stop := make(chan struct{})
+			t.Cleanup(func() { close(stop) })
+			go func() {
+				for i := 0; ; i++ {
+					if stalls && i == tc.stall {
+						<-stop
+						return
+					}
+					// The flooding producer cycles through the chain.
+					select {
+					case ch <- blocks[i%len(blocks)]:
+					case <-stop:
+						return
+					}
+				}
+			}()
+			errc := make(chan error, 1)
+			go func() {
+				_, _, err := e.ExecuteChainStream(pre.Copy(), ch, nil)
+				errc <- err
+			}()
+			select {
+			case err := <-errc:
+				if !errors.Is(err, boom) {
+					t.Errorf("%s fault, stalling=%v: err = %v, want the injected failure", tc.name, stalls, err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s fault, stalling=%v: the stream did not return with its channel open", tc.name, stalls)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 
 	"txconcur/internal/account"
+	"txconcur/internal/core"
 	"txconcur/internal/mvstore"
 )
 
@@ -134,28 +135,19 @@ func (c *shardedChain) changeSet(keys []StateKey, ts uint64) *account.StateDB {
 	return e.Restore()
 }
 
-// valueAt resolves one committed key at the pinned timestamp ts. The
-// newest visible version across shards wins: migration leaves superseded
-// copies behind on a key's previous shards, and a key commits on exactly
-// one shard per timestamp. A key no shard holds at ts was evicted, and a
-// delta-only chain is an increment over the evicted value; both resolve
+// valueAt resolves one committed key at the pinned timestamp ts on the
+// shard that owns it. A key its shard does not hold at ts was evicted, and
+// a delta-only chain is an increment over the evicted value; both resolve
 // through c.bs (the backend, then the pre-chain state). While ts is pinned
 // an eviction only persists and drops chains already resolved at ts, but
-// one landing mid-resolve could hide the owner's chain behind a stale
-// migration copy, or persist a delta the scan already counted; evictSeq
-// is odd while evictShards persists and drops, so such a resolve is
-// repeated.
+// one landing between the chain read and the base read could persist a
+// delta the chain read already counted; evictSeq is odd while evictShards
+// persists and drops, so such a resolve is repeated.
 func (c *shardedChain) valueAt(k StateKey, ts uint64) stateVal {
+	mv := c.mvs[core.ShardOf(k.Addr, len(c.mvs))]
 	for {
 		seq := c.evictSeq.Load()
-		var v stateVal
-		var newest uint64
-		found, anchored := false, false
-		for _, mv := range c.mvs {
-			if sv, a, n, ok := mv.ResolvedAt(k, ts); ok && (!found || n > newest) {
-				v, newest, found, anchored = sv, n, true, a
-			}
-		}
+		v, anchored, _, _ := mv.ResolvedAt(k, ts)
 		if !anchored {
 			base := baseVal(c.bs, k)
 			base.i64 += v.i64 // deltas exist only for balances; zero when !found

@@ -8,7 +8,6 @@ import (
 	"txconcur/internal/basestore"
 	"txconcur/internal/chainsim"
 	"txconcur/internal/exec/testutil"
-	"txconcur/internal/heat"
 	"txconcur/internal/types"
 	"txconcur/internal/wal"
 )
@@ -127,32 +126,6 @@ func TestChainCheckpointsMatchSequentialPrefixes(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestChainCheckpointsAcrossMigrations: change sets taken mid-chain under
-// an adaptive map must still fold to the sequential prefix state even when
-// rebalance boundaries have migrated keys between shards — the newest-
-// version-wins resolve must see through the superseded copies migration
-// leaves behind.
-func TestChainCheckpointsAcrossMigrations(t *testing.T) {
-	pre, blocks, err := chainsim.GenerateAccountChain(chainsim.ShardDriftProfile(), 9, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := testutil.ReplaySequential(t, pre, blocks)
-	sink := &ckptCapture{every: 2}
-	e := Sharded{Workers: 8, Depth: 2, Map: heat.NewAdaptiveMap(4, nil), RebalanceEvery: 3, Checkpoint: sink}
-	res, css, err := e.ExecuteChain(pre.Copy(), blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq.RequireChain(t, "adaptive checkpointed chain", res.Root, res.Receipts)
-	if css.RebalanceEpochs == 0 {
-		t.Fatal("fixture never rebalanced; the test is vacuous")
-	}
-	if requireFoldedPrefixes(t, "adaptive checkpointed chain", sink, pre, seq) == 0 {
-		t.Fatal("no checkpoints received")
 	}
 }
 
@@ -288,38 +261,30 @@ func TestChainCheckpointsSkippedPointsFold(t *testing.T) {
 // TestChainCheckpointsWithBackend: with a state backend and a cache budget
 // small enough that committed keys are evicted before the worker resolves
 // them, the evicted keys resolve from the base layer and the fold still
-// matches the sequential prefix — under a static and an adaptive map.
+// matches the sequential prefix.
 func TestChainCheckpointsWithBackend(t *testing.T) {
 	pre, blocks, err := chainsim.GenerateAccountChain(chainsim.ShardDriftProfile(), 12, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq := testutil.ReplaySequential(t, pre, blocks)
-	for _, adaptive := range []bool{false, true} {
-		store, err := basestore.OpenStore(wal.NewMemFS(), "base")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink := &ckptCapture{every: 2}
-		e := Sharded{Workers: 8, Shards: 4, OpLevel: true, Depth: 2, Checkpoint: sink,
-			Backend: store, CacheBudget: 4}
-		if adaptive {
-			e.Map, e.RebalanceEvery = heat.NewAdaptiveMap(4, nil), 6
-		}
-		res, css, err := e.ExecuteChain(pre.Copy(), blocks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq.RequireChain(t, "backed checkpointed chain", res.Root, res.Receipts)
-		if css.Evicted == 0 {
-			t.Fatalf("adaptive=%v: the cache budget never bound; the test is vacuous", adaptive)
-		}
-		if adaptive && css.RebalanceEpochs == 0 {
-			t.Fatal("fixture never rebalanced")
-		}
-		if requireFoldedPrefixes(t, "backed checkpointed chain", sink, pre, seq) == 0 {
-			t.Fatal("no checkpoints received")
-		}
-		store.Close()
+	store, err := basestore.OpenStore(wal.NewMemFS(), "base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	sink := &ckptCapture{every: 2}
+	e := Sharded{Workers: 8, Shards: 4, OpLevel: true, Depth: 2, Checkpoint: sink,
+		Backend: store, CacheBudget: 4}
+	res, css, err := e.ExecuteChain(pre.Copy(), blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq.RequireChain(t, "backed checkpointed chain", res.Root, res.Receipts)
+	if css.Evicted == 0 {
+		t.Fatal("the cache budget never bound; the test is vacuous")
+	}
+	if requireFoldedPrefixes(t, "backed checkpointed chain", sink, pre, seq) == 0 {
+		t.Fatal("no checkpoints received")
 	}
 }

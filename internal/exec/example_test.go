@@ -5,7 +5,6 @@ import (
 
 	"txconcur/internal/account"
 	"txconcur/internal/exec"
-	"txconcur/internal/heat"
 	"txconcur/internal/types"
 )
 
@@ -155,55 +154,6 @@ func ExampleSharded_ExecuteChain() {
 	// root matches sequential: true
 	// sink balance: 30
 	// fallback blocks: 0
-}
-
-// ExampleSharded_adaptiveMap runs a sweep-bot chain — one sender paying the
-// same collector on every block — through the sharded chain engine with an
-// adaptive shard map. The map observes the pair being serialised together,
-// co-locates it at the first epoch boundary (migrating the moved state
-// between the per-shard stores), and the result still equals the
-// sequential chain.
-func ExampleSharded_adaptiveMap() {
-	bot := types.AddressFromUint64("example", 1)
-	collector := types.AddressFromUint64("example", 9)
-	coinbase := types.AddressFromUint64("example", 99)
-	var blocks []*account.Block
-	nonce := uint64(0)
-	for h := 0; h < 6; h++ {
-		var txs []*account.Transaction
-		for i := 0; i < 4; i++ {
-			txs = append(txs, &account.Transaction{
-				From: bot, To: collector, Value: 5, Nonce: nonce, GasLimit: 21000, GasPrice: 1,
-			})
-			nonce++
-		}
-		blocks = append(blocks, &account.Block{Height: uint64(h), Coinbase: coinbase, Txs: txs})
-	}
-
-	seqSt := exampleState()
-	for _, blk := range blocks {
-		if _, err := exec.Sequential(seqSt, blk); err != nil {
-			fmt.Println(err)
-			return
-		}
-	}
-
-	m := heat.NewAdaptiveMap(4, nil)
-	e := exec.Sharded{Workers: 4, Depth: 2, Map: m, RebalanceEvery: 2}
-	res, css, err := e.ExecuteChain(exampleState(), blocks)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println("root matches sequential:", res.Root == seqSt.Root())
-	fmt.Println("bot and collector co-located:", m.Shard(bot) == m.Shard(collector))
-	fmt.Println("rebalance epochs:", css.RebalanceEpochs)
-	fmt.Println("migrated keys:", css.Migrations > 0)
-	// Output:
-	// root matches sequential: true
-	// bot and collector co-located: true
-	// rebalance epochs: 2
-	// migrated keys: true
 }
 
 // ExampleSharded_ExecuteChain_oneShard pipelines two dependent blocks

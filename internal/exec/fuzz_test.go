@@ -6,7 +6,6 @@ import (
 
 	"txconcur/internal/account"
 	"txconcur/internal/dataset"
-	"txconcur/internal/heat"
 	"txconcur/internal/types"
 	"txconcur/internal/vm"
 )
@@ -110,10 +109,7 @@ func fuzzChain(seed int64, users, hotN, txn, hotPct, split uint8) (*account.Stat
 // seed-derived count in [1, 8] — so the fuzzer also explores one-shard
 // degeneration, non-power-of-two committees, and wide sharding; the
 // pipelined sharded chain additionally runs with a seed-derived depth, so
-// cross-block snapshot staleness feeds the merge and repair paths, and a
-// second chain run uses an adaptive shard map with a fuzz-chosen rebalance
-// cadence, so epoch-boundary migration, heat-ordered merge waves, and the
-// filtered final fold are hammered on every input.
+// cross-block snapshot staleness feeds the merge and repair paths.
 func FuzzEngineSerialEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(2), uint8(40), uint8(80), uint8(1))
 	f.Add(int64(2), uint8(3), uint8(1), uint8(60), uint8(100), uint8(2))
@@ -136,11 +132,10 @@ func FuzzEngineSerialEquivalence(f *testing.F) {
 	f.Add(int64(11), uint8(3), uint8(2), uint8(72), uint8(88), uint8(2))
 	f.Add(int64(12), uint8(14), uint8(0), uint8(69), uint8(0), uint8(1))
 	f.Add(int64(13), uint8(6), uint8(3), uint8(58), uint8(100), uint8(0))
-	// Adaptive-map seeds: few-user nonce chains over three blocks (the
-	// sweep-bot shape — persistent sender/receiver pairs whose heat builds
-	// across epochs and migrates), a hot-key chain with per-block
-	// rebalancing (maximal migration churn between every pair of blocks),
-	// and a contract tangle whose conflict groups exceed the pair shape.
+	// Sweep-bot seeds: few-user nonce chains over three blocks (persistent
+	// sender/receiver pairs that stay cross-shard block after block), a
+	// hot-key chain, and a contract tangle whose conflict groups exceed the
+	// pair shape.
 	f.Add(int64(14), uint8(2), uint8(1), uint8(75), uint8(90), uint8(2))
 	f.Add(int64(15), uint8(5), uint8(3), uint8(70), uint8(100), uint8(1))
 	f.Add(int64(16), uint8(4), uint8(0), uint8(66), uint8(0), uint8(2))
@@ -251,30 +246,6 @@ func FuzzEngineSerialEquivalence(f *testing.F) {
 					ss.Fallback != (x > 0 && ss.Repairs == x) {
 					t.Fatalf("shardedchain-%d/%s block %d: inconsistent stats %+v", shards, mode, bi, ss)
 				}
-			}
-
-			// The same chain under an adaptive shard map: fuzz-chosen
-			// rebalance cadence, fresh map per run (the profile must come
-			// from this chain alone).
-			every := 1 + int(hotPct)%3
-			acr, acss, err := Sharded{Workers: 4, OpLevel: op, Depth: depth,
-				Map: heat.NewAdaptiveMap(shards, nil), RebalanceEvery: every}.
-				ExecuteChain(pre.Copy(), blocks)
-			if err != nil {
-				t.Fatalf("adaptivechain-%d/%s every=%d: %v", shards, mode, every, err)
-			}
-			if acr.Root != chainRoot {
-				t.Fatalf("adaptivechain-%d/%s every=%d: chain root mismatch", shards, mode, every)
-			}
-			for i := range blocks {
-				checkReceipts("adaptivechain/"+mode, acr.Receipts[i], seqs[i].Receipts)
-			}
-			if want := (len(blocks) - 1) / every; acss.RebalanceEpochs != want {
-				t.Fatalf("adaptivechain-%d/%s: %d rebalance epochs, want %d",
-					shards, mode, acss.RebalanceEpochs, want)
-			}
-			if shards == 1 && acss.Migrations != 0 {
-				t.Fatalf("adaptivechain/%s: single shard migrated %d keys", mode, acss.Migrations)
 			}
 		}
 

@@ -16,8 +16,8 @@
 //     reads an earlier commit of the window invalidated (the design
 //     direction of Dickerson et al. [6] and of later systems such as
 //     Block-STM).
-//   - Sharded: state partitioned by a pluggable core.ShardMap (static
-//     FNV-1a by default), each shard running its sub-block on its own
+//   - Sharded: state partitioned by FNV-1a over the address
+//     (core.ShardOf), each shard running its sub-block on its own
 //     speculative pipeline, with — unlike the Zilliqa design of §II-B — a
 //     deterministic two-phase cross-shard commit for the transactions that
 //     span committees: commuting staged groups commit in batches, aborted
@@ -25,12 +25,7 @@
 //     repaired per transaction. Its chain driver composes it with
 //     per-shard persistent mvstore instances so phase 1 of block b+1
 //     overlaps the cross-shard commit of block b (with one shard, the
-//     Octopus-style two-phase pipeline); with an adaptive map
-//     (internal/heat.AdaptiveMap) it additionally learns per-address
-//     conflict heat across blocks, rebalances hot conflict communities at
-//     epoch boundaries with deterministic state migration between the
-//     per-shard stores, and orders its merge waves by the same heat
-//     signal.
+//     Octopus-style two-phase pipeline).
 //
 // Every parallel engine additionally supports operation-level conflict
 // refinement (the OpLevel/Refined fields): balance credits and debits are

@@ -15,12 +15,9 @@ import (
 // ... is that it does not support cross-shard transactions"; package core's
 // ShardingAnalysis (E6) measures how many transactions that limitation
 // forfeits. This engine closes the gap: the account state is partitioned
-// into per-shard state views keyed by the engine's shard map — a pluggable
-// core.ShardMap whose baseline is static FNV-1a over the sender address
-// (core.StaticShardMap / core.ShardOf), and whose adaptive variant
-// (internal/heat.AdaptiveMap) learns conflict heat across blocks and
-// rebalances between them — each shard runs
-// its intra-shard sub-block on its own two-phase worker pipeline (the
+// into per-shard state views by static FNV-1a over the address
+// (core.ShardOf, transactions homed by sender) — each shard runs its
+// intra-shard sub-block on its own two-phase worker pipeline (the
 // Saraph–Herlihy split per shard: a parallel speculative phase over ⌈n/s⌉
 // workers, then an ordered commit that validates each transaction's reads
 // in block order against the actual writes committed before it), and —
@@ -92,22 +89,6 @@ type Sharded struct {
 	// Deeper lookahead buys more overlap at the price of staler snapshots
 	// (more re-executions).
 	Depth int
-	// Map overrides the address→shard assignment. nil means the static
-	// FNV-1a baseline over Shards committees (core.StaticShardMap); when
-	// set, its Shards() wins over the Shards field. A core.AdaptiveShardMap
-	// is additionally fed every committed block's access/conflict heat
-	// (ObserveBlock, in block order) and — when RebalanceEvery > 0 —
-	// rebalanced at epoch boundaries with the moved addresses' state
-	// migrated between the per-shard stores. Adaptive maps are stateful:
-	// reusing one across runs carries its learned profile over, which is
-	// the intended chain-level usage.
-	Map core.ShardMap
-	// RebalanceEvery is the chain's epoch length in blocks: after every
-	// RebalanceEvery committed blocks the pipeline drains, the adaptive map
-	// rebalances, and the moved addresses' state migrates to its new home
-	// shard before the next epoch starts. 0 disables rebalancing (the map
-	// still observes). Ignored unless Map is a core.AdaptiveShardMap.
-	RebalanceEvery int
 	// Cost overrides the per-transaction schedule weight used for the
 	// GasSeq/GasPar accounting (intra spreads, bins, merge waves, and
 	// repairs alike); nil charges the receipt's gas.
@@ -123,35 +104,12 @@ type Sharded struct {
 	// shard's version cache: the chain driver evicts cold, fully resolved
 	// keys beyond CacheBudget per shard into it after each GC pass, and
 	// cache misses read through to it before falling back to the pre-chain
-	// state. A single shared base makes epoch migrations free for evicted
-	// keys — any shard reads the same base entry. nil keeps the historical
-	// all-RAM behaviour.
+	// state. nil keeps the historical all-RAM behaviour.
 	Backend StateBackend
 	// CacheBudget is the target resident key count of each shard's version
 	// cache when Backend is set: eviction trims cold keys down to it (0
 	// evicts every cold key each pass). Ignored without a Backend.
 	CacheBudget int
-}
-
-// shardMap resolves the effective assignment: the configured Map, or the
-// static FNV baseline over the Shards field.
-func (e Sharded) shardMap() core.ShardMap {
-	if e.Map != nil {
-		return e.Map
-	}
-	s := e.Shards
-	if s < 1 {
-		s = 1
-	}
-	return core.StaticShardMap(s)
-}
-
-// conflictHeatSource is the optional heat signal of a shard map
-// (heat.AdaptiveMap implements it): the merge gives predicted-conflicting
-// transactions their own re-execution wave instead of trusting a stale
-// phase-1 prediction.
-type conflictHeatSource interface {
-	ConflictHot(a types.Address) bool
 }
 
 // ShardStats describes the sharded engine's work on one block, beyond the
@@ -197,20 +155,19 @@ type ShardStats struct {
 	PerShardTxs []int
 }
 
-// mergedState reads through every shard's committed view, dispatching each
-// key to the view of the shard that owns its address under the block's
-// shard map. Phase 2 layers the cross-shard accumulator over it; phase 1
+// mergedState reads through every shard's committed view (one per shard,
+// in shard order), dispatching each key to the view of the shard that owns
+// its address. Phase 2 layers the cross-shard accumulator over it; phase 1
 // uses it over pinned per-shard snapshots. Writes panic: all execution
 // goes through recording overlays.
 type mergedState struct {
-	m     core.ShardMap
 	views []account.State
 }
 
 var _ account.State = (*mergedState)(nil)
 
 func (s *mergedState) view(a types.Address) account.State {
-	return s.views[s.m.Shard(a)]
+	return s.views[core.ShardOf(a, len(s.views))]
 }
 
 func (s *mergedState) GetBalance(a types.Address) int64 { return s.view(a).GetBalance(a) }
@@ -243,20 +200,20 @@ func (e Sharded) Execute(st *account.StateDB, blk *account.Block) (*Result, erro
 }
 
 // touchesForeign reports whether the overlay's access set leaves the home
-// shard under the block's shard map.
-func touchesForeign(o *overlay, home int, m core.ShardMap) bool {
+// shard of a shards-way partition.
+func touchesForeign(o *overlay, home, shards int) bool {
 	for k := range o.reads() {
-		if m.Shard(k.Addr) != home {
+		if core.ShardOf(k.Addr, shards) != home {
 			return true
 		}
 	}
 	for k := range o.writes() {
-		if m.Shard(k.Addr) != home {
+		if core.ShardOf(k.Addr, shards) != home {
 			return true
 		}
 	}
 	for a := range o.deltas() {
-		if m.Shard(a) != home {
+		if core.ShardOf(a, shards) != home {
 			return true
 		}
 	}
@@ -293,13 +250,10 @@ type shardedSpec struct {
 
 // specExec runs phase 1: home-shard assignment by sender (as Zilliqa
 // assigns accounts to committees — same-sender nonce chains stay in one
-// shard) under the block's shard map, then per-shard speculative
-// pipelines, every transaction on its own recording overlay over base.
-// base must be safe for concurrent reads, and m must not be rebalanced
-// while the stage runs.
-func (e Sharded) specExec(base account.State, blk *account.Block, m core.ShardMap, wps int) *shardedSpec {
+// shard), then per-shard speculative pipelines, every transaction on its
+// own recording overlay over base. base must be safe for concurrent reads.
+func (e Sharded) specExec(base account.State, blk *account.Block, shards, wps int) *shardedSpec {
 	x := len(blk.Txs)
-	shards := m.Shards()
 	sp := &shardedSpec{
 		overlays: make([]*overlay, x),
 		p1rcpt:   make([]*account.Receipt, x),
@@ -308,7 +262,7 @@ func (e Sharded) specExec(base account.State, blk *account.Block, m core.ShardMa
 		byShard:  make([][]int, shards),
 	}
 	for i, tx := range blk.Txs {
-		sp.home[i] = m.Shard(tx.From)
+		sp.home[i] = core.ShardOf(tx.From, shards)
 		sp.byShard[sp.home[i]] = append(sp.byShard[sp.home[i]], i)
 	}
 	var wg sync.WaitGroup
@@ -344,9 +298,6 @@ type shardedOutcome struct {
 	receipts []*account.Receipt
 	acc      *overlay
 	ss       *ShardStats
-	// obs is the block's heat observation, built only when the engine runs
-	// with an adaptive shard map (nil otherwise).
-	obs *core.BlockHeat
 
 	// Unit-cost schedule terms. spreadUnits is the phase-1 spread alone
 	// (max over shards, floored by the core budget); intraUnits adds the
@@ -372,9 +323,8 @@ type shardedOutcome struct {
 // phase-2a goroutine probes its own transactions, so stale must be safe
 // for concurrent calls.
 func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *account.Block,
-	sp *shardedSpec, m core.ShardMap, wps int) (*shardedOutcome, error) {
+	sp *shardedSpec, shards, wps int) (*shardedOutcome, error) {
 	x := len(blk.Txs)
-	shards := m.Shards()
 	overlays, failed, p1rcpt := sp.overlays, sp.failed, sp.p1rcpt
 
 	// Classification. A transaction whose phase-1 access set leaves its
@@ -386,7 +336,7 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 	// caught by the commit-time validation below.
 	cross := make([]bool, x)
 	for i := range cross {
-		cross[i] = touchesForeign(overlays[i], sp.home[i], m)
+		cross[i] = touchesForeign(overlays[i], sp.home[i], shards)
 	}
 	// The fixpoint is monotone — cross membership only grows and the
 	// per-key minima in p1cw only decrease — so the index is maintained
@@ -512,7 +462,7 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 				reexecuted[i] = true
 				ro := newOverlayOp(acc, e.OpLevel)
 				rcpt, err := procDeferred.ApplyTransaction(ro, blk, blk.Txs[i])
-				if err != nil || touchesForeign(ro, sh, m) {
+				if err != nil || touchesForeign(ro, sh, shards) {
 					cross[i] = true
 					continue
 				}
@@ -598,7 +548,7 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 	// Phase 2b: deterministic cross-shard commit, in block order, over the
 	// merged view (every shard's committed sub-block read through
 	// non-recording overlay readers) plus the cross-shard accumulator.
-	merged := &mergedState{m: m, views: make([]account.State, shards)}
+	merged := &mergedState{views: make([]account.State, shards)}
 	for sh := range merged.views {
 		merged.views[sh] = outcomes[sh].acc.reader()
 	}
@@ -612,51 +562,6 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 		ss.PerShardTxs[sh] = len(sp.byShard[sh])
 	}
 	out := &shardedOutcome{receipts: receipts, ss: ss}
-
-	// Heat-aware wave ordering: when the shard map carries a learned
-	// conflict profile, no two transactions touching the *same*
-	// conflict-hot address share a wave — the second one is cut off so it
-	// leads the next wave, executing against the first one's committed
-	// writes instead of betting on a phase-1 prediction. Predictions are
-	// exactly wrong on hot addresses whose transactions failed phase 1
-	// outright (a sweep bot's nonce chain: the failed overlays predict
-	// almost nothing, so the disjointness check waves the whole chain
-	// together and every member past the first redoes sequentially at its
-	// commit point); scheduling each hot community's next transaction into
-	// the earliest *following* wave converts those redo units back into
-	// wave-parallel ones. Transactions over distinct hot communities — four
-	// bots' chains interleaved — still share waves freely.
-	hs, _ := e.Map.(conflictHeatSource)
-	hotAddrsOf := func(o *overlay) []types.Address {
-		if hs == nil {
-			return nil
-		}
-		var out []types.Address
-		seen := func(a types.Address) bool {
-			for _, b := range out {
-				if a == b {
-					return true
-				}
-			}
-			return false
-		}
-		for k := range o.reads() {
-			if hs.ConflictHot(k.Addr) && !seen(k.Addr) {
-				out = append(out, k.Addr)
-			}
-		}
-		for k := range o.writes() {
-			if hs.ConflictHot(k.Addr) && !seen(k.Addr) {
-				out = append(out, k.Addr)
-			}
-		}
-		for a := range o.deltas() {
-			if hs.ConflictHot(a) && !seen(a) {
-				out = append(out, a)
-			}
-		}
-		return out
-	}
 
 	// validStaged reports whether j's phase-1 result is the sequential
 	// result: every read must predate both the intra commits and the
@@ -834,35 +739,9 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 			}
 		}
 		noteWave(overlays[j])
-		var waveHot map[types.Address]struct{}
-		noteHot := func(o *overlay) {
-			addrs := hotAddrsOf(o)
-			if len(addrs) == 0 {
-				return
-			}
-			if waveHot == nil {
-				waveHot = make(map[types.Address]struct{})
-			}
-			for _, a := range addrs {
-				waveHot[a] = struct{}{}
-			}
-		}
-		noteHot(overlays[j])
 		for p+len(wave) < len(crossIdx) && len(wave) < e.Workers {
 			jn := crossIdx[p+len(wave)]
 			if jn >= repairFrom || validStaged(jn) {
-				break
-			}
-			hotShared := false
-			for _, a := range hotAddrsOf(overlays[jn]) {
-				if _, ok := waveHot[a]; ok {
-					hotShared = true
-					break
-				}
-			}
-			if hotShared {
-				// A hot community already has a member in this wave; its
-				// next transaction leads the following wave instead.
 				break
 			}
 			o := overlays[jn]
@@ -903,7 +782,6 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 			}
 			wave = append(wave, jn)
 			noteWave(o)
-			noteHot(o)
 		}
 
 		// Execute the wave in parallel against the pre-wave merged prefix.
@@ -1031,9 +909,6 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 	out.acc = acc
 	ss.Repairs = out.repairs
 	ss.Fallback = x > 0 && out.repairs == x
-	if _, adaptive := e.Map.(core.AdaptiveShardMap); adaptive {
-		out.obs = buildBlockHeat(final, reexecuted)
-	}
 
 	// Schedule-length accounting, paper unit-cost model: the per-shard
 	// pipelines run concurrently (max over shards of phase 1 + bin), the
@@ -1118,55 +993,6 @@ func (e Sharded) phase2(base account.State, stale func(StateKey) bool, blk *acco
 		pacc.release()
 	}
 	return out, nil
-}
-
-// touchedAddrs returns the distinct addresses of the overlay's recorded
-// access set, in deterministic (byte) order.
-func touchedAddrs(o *overlay) []types.Address {
-	set := make(map[types.Address]struct{})
-	for k := range o.reads() {
-		set[k.Addr] = struct{}{}
-	}
-	for k := range o.writes() {
-		set[k.Addr] = struct{}{}
-	}
-	for a := range o.deltas() {
-		set[a] = struct{}{}
-	}
-	addrs := make([]types.Address, 0, len(set))
-	for a := range set {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-	return addrs
-}
-
-// buildBlockHeat summarises one committed block for an adaptive shard map:
-// per-address access counts over the committed results, per-address
-// conflict counts over the serialised (re-executed) transactions, and the
-// serialised transactions' address groups — the affinity signal placement
-// clusters on.
-func buildBlockHeat(final []*overlay, reexecuted []bool) *core.BlockHeat {
-	h := &core.BlockHeat{
-		Access:   make(map[types.Address]int),
-		Conflict: make(map[types.Address]int),
-	}
-	for i, f := range final {
-		if f == nil {
-			continue
-		}
-		addrs := touchedAddrs(f)
-		for _, a := range addrs {
-			h.Access[a]++
-		}
-		if reexecuted[i] {
-			for _, a := range addrs {
-				h.Conflict[a]++
-			}
-			h.Groups = append(h.Groups, addrs)
-		}
-	}
-	return h
 }
 
 // waveAbsWrite reports whether any wave member absolutely wrote k (as

@@ -9,7 +9,6 @@ import (
 	"txconcur/internal/chainsim"
 	"txconcur/internal/core"
 	"txconcur/internal/exec/testutil"
-	"txconcur/internal/heat"
 	"txconcur/internal/types"
 	"txconcur/internal/vm"
 )
@@ -55,9 +54,7 @@ func executeBlock(e Sharded, st *account.StateDB, blk *account.Block) (*Result, 
 //     ExecuteChainStream, shard counts {2, 8} x both modes (batch and
 //     stream share the sharded core; TestStreamChainMatchesBatch pins
 //     the rest);
-//   - adaptive: fresh adaptive maps rebalancing every block — migration
-//     between every pair of blocks — and every third block;
-//   - bounded: batch, streamed and adaptive chains under a 4-key cache
+//   - bounded: batch and streamed chains under a 4-key cache
 //     budget over a basestore backend, shard counts {1, 2, 4} x both
 //     modes; the batch runs must evict, so equivalence is exercised
 //     through evict-then-read-through, not vacuously;
@@ -162,34 +159,12 @@ func TestShardedSerialEquivalenceAllProfiles(t *testing.T) {
 						}
 					}
 				}},
-				{"adaptive", func(t *testing.T) {
-					for _, shards := range []int{1, 2, 4, 8} {
-						for _, op := range modes {
-							for _, every := range []int{1, 3} {
-								label := fmt.Sprintf("shards=%d op=%v every=%d", shards, op, every)
-								cr, css, err := adaptiveEngine(shards, op, every).ExecuteChain(pre.Copy(), blocks)
-								if err != nil {
-									t.Fatalf("%s: %v", label, err)
-								}
-								checkChain(t, label, cr, css)
-								if want := (len(blocks) - 1) / every; css.RebalanceEpochs != want {
-									t.Fatalf("%s: %d rebalance epochs, want %d", label, css.RebalanceEpochs, want)
-								}
-								if shards == 1 && css.Migrations != 0 {
-									t.Fatalf("%s: single shard migrated %d keys", label, css.Migrations)
-								}
-							}
-						}
-					}
-				}},
 				{"bounded", func(t *testing.T) {
 					evicted := 0
 					for _, shards := range []int{1, 2, 4} {
 						for _, op := range modes {
 							label := fmt.Sprintf("shards=%d op=%v", shards, op)
 							e := Sharded{Workers: 8, Shards: shards, OpLevel: op, Depth: 2, CacheBudget: 4}
-							ae := Sharded{Workers: 8, OpLevel: op, Depth: 2, CacheBudget: 4,
-								Map: heat.NewAdaptiveMap(shards, nil), RebalanceEvery: 2}
 							chains := []struct {
 								name string
 								run  func(StateBackend) (*ChainResult, *ChainShardStats, error)
@@ -199,9 +174,6 @@ func TestShardedSerialEquivalenceAllProfiles(t *testing.T) {
 								}},
 								{"stream", func(bs StateBackend) (*ChainResult, *ChainShardStats, error) {
 									return e.withBackend(bs).ExecuteChainStream(pre.Copy(), feed(blocks), nil)
-								}},
-								{"adaptive", func(bs StateBackend) (*ChainResult, *ChainShardStats, error) {
-									return ae.withBackend(bs).ExecuteChain(pre.Copy(), blocks)
 								}},
 							}
 							for _, d := range chains {

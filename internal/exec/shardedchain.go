@@ -16,31 +16,12 @@ import (
 // This file composes the sharded engine with the mvstore pipeline: across a
 // chain of blocks, the per-shard speculative phase 1 of block b+1 overlaps
 // the deterministic cross-shard commit of block b. Each shard owns a
-// persistent multi-version store; a block commits its writes — partitioned
-// by the engine's shard map — to every shard's store at the next logical
-// timestamp, and phase 1 speculates against per-shard snapshots pinned at
-// the deterministic fixed-lag timestamp, so re-execution counts and
-// ParUnits depend only on the workload, never on scheduler timing.
-//
-// With an adaptive shard map (core.AdaptiveShardMap + RebalanceEvery > 0)
-// the chain is additionally segmented into epochs. At each epoch boundary
-// the pipeline drains, the map rebalances from the heat it observed, and
-// the moved addresses' state migrates between the per-shard stores as one
-// migration commit — a reconfiguration barrier, exactly as committee
-// reassignment is in a real sharded chain. Timestamps within an epoch
-// advance one per block; each boundary consumes one extra timestamp for
-// its migration commit, so the logical clock remains strictly monotonic on
-// every store and fixed-lag pins stay valid:
-//
-//	epoch 0                 boundary            epoch 1
-//	blk0   blk1   blk2      rebalance+migrate   blk3   blk4   ...
-//	ts 1   ts 2   ts 3      ts 4 (migration)    ts 5   ts 6   ...
-//
-// Migrated values are committed as absolute (Put) versions materialised
-// over the pre-chain state, so they supersede any stale copy an earlier
-// migration left behind; the final fold into the caller's StateDB filters
-// every store by the *final* assignment, which owns each key's newest
-// version by construction.
+// persistent multi-version store holding exactly the keys of its addresses
+// (core.ShardOf); the chain's i-th block commits its writes, partitioned by
+// owner, to every shard's store at logical timestamp i+1, and phase 1
+// speculates against per-shard snapshots pinned at the deterministic
+// fixed-lag timestamp, so re-execution counts and ParUnits depend only on
+// the workload, never on scheduler timing.
 
 // BlockStats describes the chain engine's work on one block.
 type BlockStats struct {
@@ -78,16 +59,6 @@ type ChainShardStats struct {
 	Cross, CrossAborts, Repairs  int
 	MergeWaves, MergeUnits       int
 	BatchedStage, FallbackBlocks int
-	// RebalanceEpochs counts the epoch boundaries at which the adaptive
-	// shard map recomputed its assignment (including boundaries that moved
-	// nothing); Migrations counts the key-values copied between per-shard
-	// stores across all of them, and MigrationUnits the schedule-length
-	// cost charged for the copies (⌈moved keys/n⌉ per boundary — migration
-	// is a real cost, so it is folded into Stats.ParUnits). All zero under
-	// a static map.
-	RebalanceEpochs int
-	Migrations      int
-	MigrationUnits  int
 	// Checkpoints counts change sets handed to the engine's
 	// CheckpointSink; CheckpointsSkipped counts commit points not handed
 	// over because the async worker was still busy (the commit path never
@@ -96,9 +67,8 @@ type ChainShardStats struct {
 	Checkpoints        int
 	CheckpointsSkipped int
 	// Evicted counts version chains the committer moved from the per-shard
-	// caches to the state backend (stale migration leftovers dropped
-	// alongside included); ColdReads counts reads the backend served after
-	// their key was evicted. Both zero without a Backend.
+	// caches to the state backend; ColdReads counts reads the backend
+	// served after their key was evicted. Both zero without a Backend.
 	Evicted   int
 	ColdReads int
 }
@@ -118,10 +88,10 @@ func (c *ChainShardStats) add(ss *ShardStats) {
 }
 
 // shardedSpecBlock carries one block's phase-1 output from the speculative
-// stage to the cross-shard committer. rel is the block's position within
-// its epoch (the fixed-lag clock runs on epoch-relative positions).
+// stage to the cross-shard committer. pos is the block's position in the
+// chain (the fixed-lag clock runs on chain positions).
 type shardedSpecBlock struct {
-	rel    int
+	pos    int
 	blk    *account.Block
 	spec   *shardedSpec
 	snaps  []*mvstore.Snapshot[StateKey, stateVal]
@@ -134,33 +104,25 @@ func (sb *shardedSpecBlock) release() {
 	}
 }
 
-// shardedChain is the mutable state the chain driver threads through its
-// epochs: the per-shard stores, the logical clock, and the chain-level
-// accumulators.
+// shardedChain is the mutable state of one chain run: the per-shard
+// stores, the checkpoint plumbing, and the chain-level accumulators.
 type shardedChain struct {
 	st  *account.StateDB
 	mvs []*mvstore.Store[StateKey, stateVal]
-	m   core.ShardMap
 	// bs is the speculative base every snapState falls through to: st
 	// itself, or — with a configured Backend — bst, which reads the disk
 	// base layer before st. budget is the per-shard eviction target.
 	bs     baseState
 	bst    *backedState
 	budget int
-	// baseTS is the last committed timestamp at the current epoch's entry
-	// (0 before the first block; the migration timestamp after a
-	// boundary). Block lo+r of an epoch starting at lo commits at
-	// baseTS+r+1.
-	baseTS uint64
 
 	// all and blockStats grow by append as blocks commit (strictly in
 	// order); a streamed chain has no known length.
 	all        [][]*account.Receipt
 	blockStats []BlockStats
 	css        *ChainShardStats
-	// Per-epoch flow-shop inputs; the makespans are summed across epochs
-	// because a boundary is a barrier (phase 1 of the next epoch cannot
-	// start before the migration commit).
+	// Chain-level schedule totals: the flow-shop makespans over every
+	// block, and the sequential and conflict counters.
 	parUnits, seqUnits  int
 	gasParUnits         uint64
 	gasSeq              uint64
@@ -186,11 +148,7 @@ type shardedChain struct {
 // the per-shard speculative phase 1 of later blocks overlapping the
 // cross-shard commit of earlier ones — the composition of the sharded
 // engine with the mvstore pipeline that converts the merge's sequential
-// tail from a per-block barrier into pipelined work. With an adaptive
-// shard map and RebalanceEvery > 0 the chain runs in epochs: each boundary
-// drains the pipeline, rebalances the map from the heat observed so far,
-// and migrates the moved addresses' state between the per-shard stores
-// (ChainShardStats.RebalanceEpochs/Migrations/MigrationUnits).
+// tail from a per-block barrier into pipelined work.
 //
 // The slice is fed to ExecuteChainStream through a pre-filled, closed
 // channel, so the batch and streamed chains share one driver. A nil block
@@ -198,10 +156,9 @@ type shardedChain struct {
 //
 // Nothing touches st until every block has committed, so the speculative
 // stage can read it lock-free; each shard's newest values are folded into
-// st once at the end, filtered by the final assignment. Serial equivalence
-// (state roots and receipts against Sequential) is enforced by the
-// regression and fuzz suites on every profile, shard count, conflict mode,
-// and rebalance schedule.
+// st once at the end. Serial equivalence (state roots and receipts against
+// Sequential) is enforced by the regression and fuzz suites on every
+// profile, shard count and conflict mode.
 func (e Sharded) ExecuteChain(st *account.StateDB, blocks []*account.Block) (*ChainResult, *ChainShardStats, error) {
 	ch := make(chan *account.Block, len(blocks))
 	for i, blk := range blocks {
@@ -216,11 +173,14 @@ func (e Sharded) ExecuteChain(st *account.StateDB, blocks []*account.Block) (*Ch
 
 // newShardedChain builds the chain accumulator with one fresh multi-version
 // store per shard.
-func (e Sharded) newShardedChain(st *account.StateDB, m core.ShardMap) *shardedChain {
+func (e Sharded) newShardedChain(st *account.StateDB) *shardedChain {
+	shards := e.Shards
+	if shards < 1 {
+		shards = 1
+	}
 	c := &shardedChain{
 		st:  st,
-		mvs: make([]*mvstore.Store[StateKey, stateVal], m.Shards()),
-		m:   m,
+		mvs: make([]*mvstore.Store[StateKey, stateVal], shards),
 		css: &ChainShardStats{},
 	}
 	for sh := range c.mvs {
@@ -236,9 +196,7 @@ func (e Sharded) newShardedChain(st *account.StateDB, m core.ShardMap) *shardedC
 }
 
 // finishChain folds every shard's newest values into the caller's state
-// database, filtered by the final assignment: migration leaves superseded
-// copies behind on a key's previous shards, and only the owning shard's
-// chain is guaranteed newest. Under a static map the filter never rejects.
+// database; the shards hold disjoint key sets, so the order is immaterial.
 func (e Sharded) finishChain(c *shardedChain, start time.Time) (*ChainResult, *ChainShardStats, error) {
 	// The checkpoint worker reads c.st as its immutable base; stop it
 	// before mutating.
@@ -256,14 +214,9 @@ func (e Sharded) finishChain(c *shardedChain, start time.Time) (*ChainResult, *C
 		}
 		c.css.ColdReads = c.bst.ColdReads()
 	}
-	for sh := range c.mvs {
-		fold := foldResolvedInto(c.st)
-		c.mvs[sh].RangeLatestResolved(func(k StateKey, v stateVal, anchored bool) bool {
-			if c.m.Shard(k.Addr) != sh {
-				return true
-			}
-			return fold(k, v, anchored)
-		})
+	fold := foldResolvedInto(c.st)
+	for _, mv := range c.mvs {
+		mv.RangeLatestResolved(fold)
 	}
 	c.st.DiscardJournal()
 
@@ -284,32 +237,23 @@ func (e Sharded) finishChain(c *shardedChain, start time.Time) (*ChainResult, *C
 	return res, c.css, nil
 }
 
-// epochSource yields one epoch's blocks to the speculative stage, in order:
-// src(rel, quit) returns the epoch's rel-th block, or false when the epoch
-// is over (boundary reached or stream closed). The source must honour
-// quit — it is closed when the committer aborts, and a source still
-// blocked on its producer would deadlock the drain otherwise.
-type epochSource func(rel int, quit <-chan struct{}) (*account.Block, bool)
-
-// runShardedEpoch pipelines one epoch's blocks: stage 1 speculates per
-// shard against pinned fixed-lag snapshots (never below the epoch's entry
-// timestamp — everything older was superseded by the boundary migration),
-// stage 2 classifies, commits sub-blocks, merges cross-shard and composes,
-// strictly in block order, committing each block's writes to the per-shard
-// stores. onCommit (optional) fires after each block's writes are durable
-// on every shard, with the block's chain-wide index. Returns the number of
-// blocks committed; on return the epoch's last commit is c.baseTS.
-func (e Sharded) runShardedEpoch(c *shardedChain, src epochSource,
-	am core.AdaptiveShardMap, onCommit func(idx int, blk *account.Block, receipts []*account.Receipt)) (int, error) {
-	wps := ceilDiv(e.Workers, c.m.Shards())
+// runShardedChain is the chain's pipeline pass. Stage 1 reads the block
+// channel and speculates each block per shard against pinned fixed-lag
+// snapshots; stage 2 classifies, commits sub-blocks, merges cross-shard and
+// composes, strictly in block order, committing each block's writes to the
+// per-shard stores. The pass ends when the channel is closed or yields a
+// nil block. onCommit (optional) fires after each block's writes are
+// durable on every shard, with the block's chain-wide index.
+func (e Sharded) runShardedChain(c *shardedChain, blocks <-chan *account.Block,
+	onCommit func(idx int, blk *account.Block, receipts []*account.Receipt)) error {
+	bs, mvs := c.bs, c.mvs
+	shards := len(mvs)
+	wps := ceilDiv(e.Workers, shards)
 	depth := e.Depth
 	if depth < 1 {
 		depth = 1
 	}
-	bs, mvs, m := c.bs, c.mvs, c.m
-	shards := m.Shards()
-	baseTS := c.baseTS
-	shardOfKey := func(k StateKey) int { return m.Shard(k.Addr) }
+	shardOfKey := func(k StateKey) int { return core.ShardOf(k.Addr, shards) }
 
 	// Stage 1: per-shard speculative execution, one block at a time, each
 	// transaction on its own recording overlay over the pinned per-shard
@@ -330,38 +274,45 @@ func (e Sharded) runShardedEpoch(c *shardedChain, src epochSource,
 	}
 	go func() {
 		defer close(specCh)
-		for rel := 0; ; rel++ {
-			blk, ok := src(rel, done)
-			if !ok {
+		for pos := 0; ; pos++ {
+			var blk *account.Block
+			// A producer that neither sends nor closes must not keep an
+			// aborted chain waiting, hence the quit arm.
+			//txlint:clock receive-vs-quit arbitration; block order is the channel's FIFO order whichever case fires
+			select {
+			case b, ok := <-blocks:
+				if !ok || b == nil {
+					return
+				}
+				blk = b
+			case <-done:
 				return
 			}
-			// Deterministic pessimistic snapshot: when
-			// stage 1 starts the epoch's rel-th block it has pushed the
-			// previous rel blocks through a channel of capacity depth, so
-			// stage 2 has received at least rel−depth of them and committed
-			// all but its current one: baseTS+rel−depth−1 is guaranteed
-			// durable on every shard. Earlier epochs are fully durable
-			// (the boundary drained), so the floor is the epoch's entry
-			// timestamp. The clock runs on epoch-relative positions, so a
-			// live stream — whose producers have arbitrary timing — yields
-			// the same pins, and therefore the same re-execution counts and
-			// schedule stats, as a pre-filled one.
-			ts := baseTS
-			if rel > depth {
-				ts = baseTS + uint64(rel-depth-1)
+			// Deterministic pessimistic snapshot: when stage 1 starts the
+			// chain's pos-th block it has pushed the previous pos blocks
+			// through a channel of capacity depth, so stage 2 has received
+			// at least pos−depth of them and committed all but its current
+			// one: timestamp pos−depth−1 is guaranteed durable on every
+			// shard. The clock runs on chain positions, so a live stream —
+			// whose producers have arbitrary timing — yields the same pins,
+			// and therefore the same re-execution counts and schedule
+			// stats, as a pre-filled one.
+			var ts uint64
+			if pos > depth {
+				ts = uint64(pos - depth - 1)
 			}
 			sb := shardedSpecBlock{
-				rel:    rel,
+				pos:    pos,
 				blk:    blk,
 				snaps:  make([]*mvstore.Snapshot[StateKey, stateVal], shards),
 				specTS: ts,
 			}
-			view := &mergedState{m: m, views: make([]account.State, shards)}
+			view := &mergedState{views: make([]account.State, shards)}
 			for sh := range mvs {
 				sb.snaps[sh] = mvs[sh].PinAt(ts)
 				view.views[sh] = &snapState{base: bs, snap: sb.snaps[sh]}
 			}
-			sb.spec = e.specExec(view, blk, m, wps)
+			sb.spec = e.specExec(view, blk, shards, wps)
 			//txlint:clock send-vs-shutdown arbitration; commit order is enforced by stage 2, not by this select
 			select {
 			case specCh <- sb:
@@ -378,16 +329,14 @@ func (e Sharded) runShardedEpoch(c *shardedChain, src epochSource,
 	var p1Units, p2Units []int
 	var p1Gas, p2Gas []uint64
 
-	n := 0
 	for sb := range specCh {
 		blk := sb.blk
-		rel := sb.rel
-		commitTS := baseTS + uint64(rel) + 1
+		commitTS := uint64(sb.pos) + 1
 		specTS := sb.specTS
 
 		// The committed pre-block view: every shard's store at the previous
 		// timestamp, over the immutable pre-chain state.
-		base := &mergedState{m: m, views: make([]account.State, shards)}
+		base := &mergedState{views: make([]account.State, shards)}
 		for sh := range mvs {
 			base.views[sh] = &snapState{base: bs, snap: mvs[sh].At(commitTS - 1)}
 		}
@@ -402,11 +351,11 @@ func (e Sharded) runShardedEpoch(c *shardedChain, src epochSource,
 			// committed version can postdate it.
 			stale = nil
 		}
-		out, err := e.phase2(base, stale, blk, sb.spec, m, wps)
+		out, err := e.phase2(base, stale, blk, sb.spec, shards, wps)
 		sb.release()
 		if err != nil {
 			abort()
-			return n, fmt.Errorf("exec: sharded chain block %d: %w", blk.Height, err)
+			return fmt.Errorf("exec: sharded chain block %d: %w", blk.Height, err)
 		}
 
 		// Deferred fees and block reward, exactly as finalizeBlock does,
@@ -432,29 +381,25 @@ func (e Sharded) runShardedEpoch(c *shardedChain, src epochSource,
 			// in lockstep so fixed-lag pins stay valid on all shards.
 			if err := mvs[sh].CommitWrites(commitTS, parts[sh]); err != nil {
 				abort()
-				return n, fmt.Errorf("exec: sharded chain block %d shard %d: %w", blk.Height, sh, err)
+				return fmt.Errorf("exec: sharded chain block %d shard %d: %w", blk.Height, sh, err)
 			}
 		}
-		if am != nil && out.obs != nil {
-			am.ObserveBlock(*out.obs)
-		}
-		// Epoch GC, fixed-lag horizon: a future pin within this epoch
-		// requests at least commitTS−depth (the next block's floor), later
-		// epochs pin above the boundary migration, and PinAt cannot
+		// GC, fixed-lag horizon: a future pin requests at least
+		// commitTS−depth (the next block's floor), and PinAt cannot
 		// resurrect collected versions.
-		if commitTS > baseTS+uint64(depth)+1 {
+		if commitTS > uint64(depth)+1 {
 			horizon := commitTS - uint64(depth) - 1
 			for sh := range mvs {
 				mvs[sh].TruncateBelow(horizon)
 			}
 			// Cold-key eviction rides the GC cadence: fully resolved cold
 			// keys beyond each shard's budget are persisted to the shared
-			// base layer, then their chains dropped from every shard.
+			// base layer, then their chains dropped.
 			if c.bst != nil {
 				ev, err := c.evictShards(horizon)
 				if err != nil {
 					abort()
-					return n, fmt.Errorf("exec: sharded chain block %d: state backend: %w", blk.Height, err)
+					return fmt.Errorf("exec: sharded chain block %d: state backend: %w", blk.Height, err)
 				}
 				c.css.Evicted += ev
 			}
@@ -464,7 +409,7 @@ func (e Sharded) runShardedEpoch(c *shardedChain, src epochSource,
 		if c.bst != nil {
 			if err := c.bst.Err(); err != nil {
 				abort()
-				return n, fmt.Errorf("exec: sharded chain block %d: state backend: %w", blk.Height, err)
+				return fmt.Errorf("exec: sharded chain block %d: state backend: %w", blk.Height, err)
 			}
 		}
 
@@ -486,7 +431,6 @@ func (e Sharded) runShardedEpoch(c *shardedChain, src epochSource,
 		c.gasSeq += gasBlock
 		c.conflicted += out.conflicted
 		c.retries += out.binned + out.mergeReexecs + out.redos + out.repairs
-		n++
 		if onCommit != nil {
 			onCommit(len(c.all)-1, blk, out.receipts)
 		}
@@ -495,39 +439,27 @@ func (e Sharded) runShardedEpoch(c *shardedChain, src epochSource,
 		}
 	}
 
-	c.baseTS = baseTS + uint64(n)
-	c.parUnits += flowShopMakespan(p1Units, p2Units)
-	c.gasParUnits += flowShopMakespan(p1Gas, p2Gas)
-	return n, nil
+	c.parUnits = flowShopMakespan(p1Units, p2Units)
+	c.gasParUnits = flowShopMakespan(p1Gas, p2Gas)
+	return nil
 }
 
 // evictShards moves cold keys from every shard's version cache into the
 // shared base layer, down to the per-shard budget. The protocol is
 // persist-then-drop: the batch is durable in the backend before any chain
 // is removed, so a reader missing a dropped chain always finds the value
-// in the base. A key owned by its shard (per the current map) is persisted
-// from that shard's chain — the newest by construction — and dropped on
-// *every* shard, so a stale copy an epoch migration left behind can never
-// outlive the owner's chain and win a newest-wins merge against the base
-// value. A cold chain on a non-owning shard is such a stale copy: strictly
-// older, never read (dispatch is by the current map), dropped without a
-// base write. horizon must be the GC horizon of the triggering commit; the
+// in the base. horizon must be the GC horizon of the triggering commit; the
 // eviction cut additionally respects snapshot pins, exactly like GC.
 // Returns the number of chains dropped across all shards.
 func (c *shardedChain) evictShards(horizon uint64) (int, error) {
 	var entries []basestore.Entry
-	var owned []StateKey
-	dropLocal := make([][]StateKey, len(c.mvs))
-	for sh := range c.mvs {
-		excess := c.mvs[sh].StoreStats().Keys - c.budget
+	cold := make([][]StateKey, len(c.mvs))
+	for sh, mv := range c.mvs {
+		excess := mv.StoreStats().Keys - c.budget
 		if excess <= 0 {
 			continue
 		}
-		for _, ev := range c.mvs[sh].CollectCold(horizon, excess) {
-			if c.m.Shard(ev.Key.Addr) != sh {
-				dropLocal[sh] = append(dropLocal[sh], ev.Key)
-				continue
-			}
+		for _, ev := range mv.CollectCold(horizon, excess) {
 			v := ev.Val
 			if !ev.Anchored {
 				// Deltas exist only for balances: fold the accumulated
@@ -536,7 +468,7 @@ func (c *shardedChain) evictShards(horizon uint64) (int, error) {
 				v = stateVal{i64: c.bst.GetBalance(ev.Key.Addr) + ev.Val.i64}
 			}
 			entries = append(entries, basestore.Entry{Key: encodeStateKey(ev.Key), Val: encodeStateVal(ev.Key, v)})
-			owned = append(owned, ev.Key)
+			cold[sh] = append(cold[sh], ev.Key)
 		}
 	}
 	c.evictSeq.Add(1) // odd until the persist and drops are done
@@ -547,78 +479,10 @@ func (c *shardedChain) evictShards(horizon uint64) (int, error) {
 		}
 	}
 	dropped := 0
-	for sh := range c.mvs {
-		dropped += c.mvs[sh].DropChains(owned, horizon)
-		dropped += c.mvs[sh].DropChains(dropLocal[sh], horizon)
+	for sh, mv := range c.mvs {
+		dropped += mv.DropChains(cold[sh], horizon)
 	}
 	return dropped, nil
-}
-
-// migrateShards applies one rebalance's moves to the per-shard stores: for
-// every moved address, each of its keys present on the old shard is
-// materialised (deltas folded over the pre-chain state) and committed to
-// the new shard as an absolute version at the boundary's migration
-// timestamp. Every store commits at that timestamp — empty write sets
-// included — so the per-shard clocks stay in lockstep. The schedule charge
-// is ⌈moved keys/n⌉: copies are independent and spread across the worker
-// pool, but the boundary itself is a barrier.
-func (e Sharded) migrateShards(c *shardedChain, moves []core.ShardMove) {
-	migTS := c.baseTS + 1
-	shards := len(c.mvs)
-	parts := make([]map[StateKey]mvstore.Write[stateVal], shards)
-	for sh := range parts {
-		parts[sh] = make(map[StateKey]mvstore.Write[stateVal])
-	}
-	movedFrom := make([]map[types.Address]int, shards)
-	for _, mv := range moves {
-		if mv.From < 0 || mv.From >= shards || mv.To < 0 || mv.To >= shards || mv.From == mv.To {
-			continue
-		}
-		if movedFrom[mv.From] == nil {
-			movedFrom[mv.From] = make(map[types.Address]int)
-		}
-		movedFrom[mv.From][mv.Addr] = mv.To
-	}
-	migrated := 0
-	for sh := range c.mvs {
-		if len(movedFrom[sh]) == 0 {
-			continue
-		}
-		c.mvs[sh].RangeLatestResolved(func(k StateKey, v stateVal, anchored bool) bool {
-			dest, ok := movedFrom[sh][k.Addr]
-			if !ok {
-				return true
-			}
-			if !anchored {
-				// Delta-only chain: v is the accumulated balance increment;
-				// materialise it over the backed base (the disk base layer
-				// holds the anchor when the key's absolute chain was
-				// evicted, the immutable pre-chain state otherwise) so the
-				// copy supersedes (rather than double-counts) any stale
-				// version a previous migration left on the destination.
-				v = stateVal{i64: c.bs.GetBalance(k.Addr) + v.i64}
-			}
-			parts[dest][k] = mvstore.Write[stateVal]{Kind: mvstore.Put, Val: v}
-			migrated++
-			return true
-		})
-	}
-	for sh := range c.mvs {
-		// Migration commits are infallible by construction (the timestamp
-		// is fresh and strictly above every block commit of the epoch);
-		// a failure would mean the clock discipline itself is broken.
-		if err := c.mvs[sh].CommitWrites(migTS, parts[sh]); err != nil {
-			panic(fmt.Sprintf("exec: shard migration commit: %v", err))
-		}
-	}
-	c.baseTS = migTS
-	c.css.RebalanceEpochs++
-	c.css.Migrations += migrated
-	if migrated > 0 {
-		mu := ceilDiv(migrated, e.Workers)
-		c.css.MigrationUnits += mu
-		c.parUnits += mu
-	}
 }
 
 // snapState adapts a multi-version snapshot layered over an immutable base

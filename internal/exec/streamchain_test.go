@@ -6,7 +6,6 @@ import (
 	"txconcur/internal/account"
 	"txconcur/internal/chainsim"
 	"txconcur/internal/exec/testutil"
-	"txconcur/internal/heat"
 )
 
 // feed sends blocks on a fresh channel from a separate goroutine, closing
@@ -78,43 +77,6 @@ func TestStreamChainMatchesBatch(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestStreamChainAdaptiveEpochs: the streamed adaptive chain must segment
-// into the same epochs — same rebalance count, same migrations, same root —
-// as the batch driver, including the "no rebalance after the last block"
-// boundary rule (the stream learns it by peeking ahead).
-func TestStreamChainAdaptiveEpochs(t *testing.T) {
-	pre, blocks, err := chainsim.GenerateAccountChain(chainsim.ShardDriftProfile(), 9, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := testutil.ReplaySequential(t, pre, blocks)
-	// every=3 on 9 blocks lands a boundary exactly at the end — the case
-	// where batch skips the trailing rebalance and the stream must too.
-	for _, every := range []int{1, 3, 4} {
-		batchEng := Sharded{Workers: 8, Depth: 2, Map: heat.NewAdaptiveMap(4, nil), RebalanceEvery: every}
-		batch, bcss, err := batchEng.ExecuteChain(pre.Copy(), blocks)
-		if err != nil {
-			t.Fatalf("batch every=%d: %v", every, err)
-		}
-		streamEng := Sharded{Workers: 8, Depth: 2, Map: heat.NewAdaptiveMap(4, nil), RebalanceEvery: every}
-		stream, scss, err := streamEng.ExecuteChainStream(pre.Copy(), feed(blocks), nil)
-		if err != nil {
-			t.Fatalf("stream every=%d: %v", every, err)
-		}
-		seq.RequireChain(t, "adaptive stream", stream.Root, stream.Receipts)
-		if stream.Root != batch.Root {
-			t.Fatalf("every=%d: stream root diverged from batch", every)
-		}
-		if scss.RebalanceEpochs != bcss.RebalanceEpochs || scss.Migrations != bcss.Migrations ||
-			scss.MigrationUnits != bcss.MigrationUnits {
-			t.Fatalf("every=%d: epoch accounting diverged: stream %+v vs batch %+v", every, scss, bcss)
-		}
-		if stream.Stats.ParUnits != batch.Stats.ParUnits {
-			t.Fatalf("every=%d: makespan diverged: %d vs %d", every, stream.Stats.ParUnits, batch.Stats.ParUnits)
 		}
 	}
 }

@@ -11,10 +11,8 @@
 // execute optimistically against the snapshot left by block b-1 while block
 // b is still validating and committing — the multi-version substrate behind
 // the pipelined two-phase engine in package exec (Octopus-style two-phase
-// pipelining; see docs/ARCHITECTURE.md), behind the per-shard persistent
-// stores of the sharded chain engine, and behind that engine's adaptive
-// epoch migrations, which re-home a moved address by committing its
-// materialised values to another shard's store at a dedicated timestamp.
+// pipelining; see docs/ARCHITECTURE.md), and behind the per-shard
+// persistent stores of the sharded chain engine.
 //
 // Concurrency contract:
 //
@@ -376,9 +374,7 @@ func (s *Store[K, V]) RangeLatestResolved(fn func(k K, val V, anchored bool) boo
 // val is the accumulated delta the caller must fold onto its base state),
 // and the timestamp of the newest visible version. ok is false when k has
 // no version at or below ts — never written, first written after ts, or
-// dropped from the cache. Callers merging several stores' views (the
-// checkpoint worker over per-shard stores) use newest to let the most
-// recent writer win. Safe to run concurrently with commits at timestamps
+// dropped from the cache. Safe to run concurrently with commits at timestamps
 // above ts — version nodes are immutable and the walk skips anything
 // newer — provided ts is pinned against garbage collection (see PinAt).
 // Unlike Get it leaves the key's clock bit alone, so a checkpoint read

@@ -8,7 +8,6 @@
 package types
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -102,11 +101,6 @@ func (a Address) Short() string { return "0x" + hex.EncodeToString(a[:2])[:3] }
 
 // IsZero reports whether the address is the zero (coinbase/null) address.
 func (a Address) IsZero() bool { return a == ZeroAddress }
-
-// Less reports whether a orders before b byte-lexicographically — the
-// deterministic iteration order used wherever address sets feed
-// order-sensitive computations (heat planning, shard migration).
-func (a Address) Less(b Address) bool { return bytes.Compare(a[:], b[:]) < 0 }
 
 // Bytes returns a fresh copy of the address contents.
 func (a Address) Bytes() []byte {

@@ -1,8 +1,8 @@
 // txlint is the project's determinism-and-discipline linter: a
 // multichecker over five analyzers that machine-check the invariants every
 // engine's serial-equivalence proof rests on. The repo's replay model
-// (sequential roots as oracles, fixed-lag snapshots, heat-ordered merge
-// waves) tolerates zero nondeterminism in committed state, yet the hazards
+// (sequential roots as oracles, fixed-lag snapshots, ordered merge waves)
+// tolerates zero nondeterminism in committed state, yet the hazards
 // that break it — map-iteration order leaking into output, wall clocks or
 // global RNG in deterministic paths, sloppy lock or error-wrapping
 // discipline — are invisible to go vet and only probabilistically visible
@@ -256,7 +256,6 @@ func runAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 var deterministicPackages = map[string]bool{
 	"txconcur/internal/exec":      true,
 	"txconcur/internal/core":      true,
-	"txconcur/internal/heat":      true,
 	"txconcur/internal/mvstore":   true,
 	"txconcur/internal/mempool":   true,
 	"txconcur/internal/dataset":   true,
